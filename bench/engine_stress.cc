@@ -2,20 +2,12 @@
  * @file
  * Host-side stress test of the event engine. Simulating billions of
  * machine cycles is only practical if the engine itself is fast, so
- * this bench measures raw events per host second for the two current
- * scheduling styles and for the engine this repo used before the
- * event-object refactor:
+ * this bench measures raw events per host second for component-owned
+ * member events rescheduled intrusively (the CE advance path, no
+ * allocation per event), then times the parallel engine on a
+ * Cedar-shaped partition graph at a ladder of thread counts.
  *
- *  - member:  component-owned Event objects rescheduled intrusively
- *             (the CE advance path) — no allocation per event,
- *  - pooled:  one-shot closures riding the recycled CallbackEvent pool
- *             (the compatibility path),
- *  - closure: a faithful copy of the old engine — a priority_queue of
- *             std::function nodes, one allocation-bearing queue entry
- *             per schedule — kept here as the baseline the speedup
- *             numbers are measured against.
- *
- * The workload itself lives in bench/stress_core.hh, shared with the
+ * The workloads live in bench/stress_core.hh, shared with the
  * perf-trajectory runner so both binaries measure identical code.
  */
 
@@ -33,35 +25,15 @@ main(int argc, char **argv)
     setLogQuiet(true);
     core::BenchOutput out("engine_stress", argc, argv);
 
-    std::printf("Engine stress: %u actors, %llu-event budget per style\n\n",
+    std::printf("Engine stress: %u actors, %llu-event budget\n\n",
                 n_actors, static_cast<unsigned long long>(default_events));
 
-    Simulation member_sim;
-    StressResult member = stress<MemberActor>(member_sim);
-
-    Simulation pooled_sim;
-    StressResult pooled = stress<PooledActor>(pooled_sim);
-
-    ClosureEngine closure_sim;
-    StressResult closure = stress<ClosureActor>(closure_sim);
-
-    core::TableWriter table({"style", "events", "host s", "M events/s",
-                             "vs closure"});
-    auto row = [&](const char *name, const StressResult &r) {
-        table.row({name, std::to_string(r.events),
-                   core::fmt(r.seconds, 3), core::fmt(r.rate() / 1e6, 2),
-                   core::fmt(r.rate() / closure.rate(), 2) + "x"});
-    };
-    row("member events", member);
-    row("pooled callbacks", pooled);
-    row("closure baseline", closure);
+    StressResult member = stress();
+    core::TableWriter table({"style", "events", "host s", "M events/s"});
+    table.row({"member events", std::to_string(member.events),
+               core::fmt(member.seconds, 3),
+               core::fmt(member.rate() / 1e6, 2)});
     table.print();
-
-    std::printf("\ncallback pool: %llu nodes allocated, %llu reuses\n",
-                static_cast<unsigned long long>(
-                    pooled_sim.callbackPoolAllocated()),
-                static_cast<unsigned long long>(
-                    pooled_sim.callbackPoolReuses()));
 
     // Parallel engine: the Cedar-shaped partition workload under the
     // conservative window protocol at a ladder of thread counts. The
@@ -71,40 +43,21 @@ main(int argc, char **argv)
                 "lookahead %llu ticks\n\n",
                 pdes_clusters,
                 static_cast<unsigned long long>(pdes_channel_latency));
-    PdesResult serial = runPdes(1);
+    PdesLadder ladder = runPdesLadder();
     core::TableWriter ptable(
         {"threads", "events", "host s", "vs 1 thread", "checksum ok"});
-    double speedup_best = 1.0;
-    for (unsigned threads : {1u, 2u, 4u}) {
-        PdesResult r = threads == 1 ? serial : runPdes(threads);
-        if (r.checksum != serial.checksum) {
-            std::fprintf(stderr,
-                         "FATAL: checksum diverged at %u threads\n",
-                         threads);
-            return 1;
-        }
-        double speedup = serial.seconds / r.seconds;
-        if (threads > 1 && speedup > speedup_best)
-            speedup_best = speedup;
-        ptable.row({std::to_string(threads), std::to_string(r.events),
-                    core::fmt(r.seconds, 3), core::fmt(speedup, 2) + "x",
+    for (std::size_t i = 0; i < ladder.runs.size(); ++i) {
+        const PdesResult &r = ladder.runs[i];
+        ptable.row({std::to_string(pdes_thread_ladder[i]),
+                    std::to_string(r.events), core::fmt(r.seconds, 3),
+                    core::fmt(ladder.runs[0].seconds / r.seconds, 2) + "x",
                     "yes"});
     }
     ptable.print();
 
     out.metric("member_events_per_sec", member.rate());
-    out.metric("pooled_events_per_sec", pooled.rate());
-    out.metric("closure_events_per_sec", closure.rate());
-    out.metric("member_speedup_vs_closure",
-               member.rate() / closure.rate());
-    out.metric("pooled_speedup_vs_closure",
-               pooled.rate() / closure.rate());
-    out.metric("callback_pool_allocated",
-               static_cast<std::uint64_t>(
-                   pooled_sim.callbackPoolAllocated()));
-    out.metric("callback_pool_reuses", pooled_sim.callbackPoolReuses());
-    out.metric("pdes_serial_seconds", serial.seconds);
-    out.metric("pdes_speedup_best", speedup_best);
+    out.metric("pdes_serial_seconds", ladder.runs[0].seconds);
+    out.metric("pdes_speedup_best", ladder.bestSpeedup());
     out.emit();
     return 0;
 }

@@ -84,42 +84,20 @@ allProbes(unsigned sweep_jobs)
 
     probes.push_back({"engine_stress.member_rate", true, 3, [] {
                           Simulation warm;
-                          runOnce<MemberActor>(warm, g_stress_events / 20);
+                          runOnce(warm, g_stress_events / 20);
                           Simulation sim;
-                          return runOnce<MemberActor>(sim, g_stress_events)
-                              .rate();
-                      }});
-    probes.push_back({"engine_stress.pooled_rate", true, 3, [] {
-                          Simulation warm;
-                          runOnce<PooledActor>(warm, g_stress_events / 20);
-                          Simulation sim;
-                          return runOnce<PooledActor>(sim, g_stress_events)
-                              .rate();
+                          return runOnce(sim, g_stress_events).rate();
                       }});
     // Parallel-engine scaling on the Cedar-shaped partition workload:
     // best threads>1 wall clock against the identical threads=1
-    // protocol. Checksums must agree — the probe dies rather than
+    // protocol. Checksums must agree — the ladder dies rather than
     // record a fast-but-wrong engine. The value is bounded above by
-    // the host's core count (1.0x on a single-core runner); the
+    // the host's core count (about 1.0x on a single-core runner); the
     // trajectory gate only trips on regressions, so recording a
     // modest baseline is safe on any host.
-    probes.push_back(
-        {"engine.pdes_speedup", true, 2, [] {
-             PdesResult serial = runPdes(1);
-             double best = 0.0;
-             for (unsigned threads : {2u, 4u}) {
-                 PdesResult r = runPdes(threads);
-                 if (r.checksum != serial.checksum) {
-                     std::fprintf(stderr,
-                                  "trajectory: FATAL: pdes checksum "
-                                  "diverged at %u threads\n",
-                                  threads);
-                     std::exit(1);
-                 }
-                 best = std::max(best, serial.seconds / r.seconds);
-             }
-             return best;
-         }});
+    probes.push_back({"engine.pdes_speedup", true, 2, [] {
+                          return runPdesLadder().bestSpeedup();
+                      }});
     probes.push_back({"valid_fast.seconds", false, 3, [] {
                           return timedSeconds([] {
                               valid::ValidationOptions vopts;

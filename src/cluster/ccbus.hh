@@ -13,7 +13,6 @@
 #ifndef CEDARSIM_CLUSTER_CCBUS_HH
 #define CEDARSIM_CLUSTER_CCBUS_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -82,8 +81,7 @@ class CcBarrier
         _latest = std::max(_latest, now);
         if (_waiters.size() == _participants) {
             Tick release = _latest + _join_cycles;
-            // One resume event per waiter, as the closure engine
-            // scheduled, so same-tick interleaving is unchanged. Pool
+            // One resume event per waiter, in arrival order. Pool
             // slots recycle across episodes: an episode cannot begin
             // until the previous one's resumes have all fired.
             for (std::size_t i = 0; i < _waiters.size(); ++i) {
@@ -102,16 +100,6 @@ class CcBarrier
             _waiters.clear();
             _latest = 0;
         }
-    }
-
-    /**
-     * Closure convenience for tests: a one-shot adapter owns the
-     * callback and frees itself at release.
-     */
-    void
-    arrive(Tick now, std::function<void(Tick)> resume)
-    {
-        arrive(now, *new OneShotWaiter(std::move(resume)));
     }
 
     /** Number of CEs currently waiting. */
@@ -149,27 +137,6 @@ class CcBarrier
         Simulation *_sim_ref = nullptr;
         Entry _entry{};
         Tick _release = 0;
-    };
-
-    /** Self-deleting adapter behind the closure form of arrive(). */
-    class OneShotWaiter : public BarrierWaiter
-    {
-      public:
-        explicit OneShotWaiter(std::function<void(Tick)> fn)
-            : _fn(std::move(fn))
-        {
-        }
-
-        void
-        barrierReleased(Tick when) override
-        {
-            auto fn = std::move(_fn);
-            delete this;
-            fn(when);
-        }
-
-      private:
-        std::function<void(Tick)> _fn;
     };
 
     Simulation &_sim;

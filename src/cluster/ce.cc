@@ -28,18 +28,10 @@ ComputationalElement::run(OpStream *stream, CeDoneListener *listener)
     sim_assert(stream, "null op stream");
     _stream = stream;
     _done_listener = listener;
-    _on_done = nullptr;
     _have_op = false;
     _waiting = false;
     _gv = GlobalVector{};
     continueAt(_sim.curTick());
-}
-
-void
-ComputationalElement::run(OpStream *stream, std::function<void()> on_done)
-{
-    run(stream, static_cast<CeDoneListener *>(nullptr));
-    _on_done = std::move(on_done);
 }
 
 void
@@ -93,10 +85,6 @@ ComputationalElement::streamDone()
         CeDoneListener *listener = _done_listener;
         _done_listener = nullptr;
         listener->ceDone();
-    } else if (_on_done) {
-        auto done = std::move(_on_done);
-        _on_done = nullptr;
-        done();
     }
 }
 
@@ -305,7 +293,6 @@ ComputationalElement::restoreState(const CheckpointReader &r)
     _last_done = sec.u64("last_done");
     _stream = nullptr;
     _done_listener = nullptr;
-    _on_done = nullptr;
     _have_op = false;
     _waiting = false;
     _gv = GlobalVector{};

@@ -15,7 +15,6 @@
 #ifndef CEDARSIM_CLUSTER_CE_HH
 #define CEDARSIM_CLUSTER_CE_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -83,17 +82,10 @@ class ComputationalElement : public Named,
 
     /**
      * Begin executing @p stream; @p listener->ceDone() fires when it
-     * is exhausted. The CE must be idle. The stream and listener must
-     * outlive execution. This is the allocation-free form the loop
-     * runtime uses.
+     * is exhausted (nullptr: nobody is told). The CE must be idle. The
+     * stream and listener must outlive execution.
      */
     void run(OpStream *stream, CeDoneListener *listener);
-
-    /**
-     * Closure convenience for kernels and tests; @p on_done fires when
-     * the stream is exhausted.
-     */
-    void run(OpStream *stream, std::function<void()> on_done);
 
     bool busy() const { return _stream != nullptr; }
 
@@ -184,7 +176,6 @@ class ComputationalElement : public Named,
 
     OpStream *_stream = nullptr;
     CeDoneListener *_done_listener = nullptr;
-    std::function<void()> _on_done;
     Op _op;
     bool _have_op = false;
     bool _waiting = false;

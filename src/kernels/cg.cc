@@ -9,6 +9,7 @@
 #include <deque>
 #include <memory>
 
+#include "runtime/launch.hh"
 #include "runtime/streams.hh"
 
 namespace cedar::kernels {
@@ -388,19 +389,15 @@ runCgTimed(machine::CedarMachine &machine, const CgTimedParams &params)
 
     unsigned rows_per_ce = params.n / params.ces;
     std::vector<std::unique_ptr<CgStream>> streams;
-    unsigned done = 0;
     for (unsigned c = 0; c < params.ces; ++c) {
         streams.push_back(std::make_unique<CgStream>(
             shared.get(), c * rows_per_ce, (c + 1) * rows_per_ce,
             params.strip));
     }
-    for (unsigned c = 0; c < params.ces; ++c) {
-        auto *stream = streams[c].get();
-        machine.sim().schedule(0, [&machine, &done, stream, c] {
-            machine.ceAt(c).run(stream, [&done] { ++done; });
-        });
-    }
-    machine.sim().run();
+    std::vector<runtime::CeLaunch> launches;
+    for (unsigned c = 0; c < params.ces; ++c)
+        launches.push_back({&machine.ceAt(c), streams[c].get(), 0});
+    unsigned done = runtime::runCes(machine, launches);
     sim_assert(done == params.ces, "CG incomplete: ", done, " of ",
                params.ces);
 

@@ -8,6 +8,7 @@
 #include <deque>
 #include <memory>
 
+#include "runtime/launch.hh"
 #include "runtime/streams.hh"
 
 namespace cedar::kernels {
@@ -284,7 +285,6 @@ runRank64(machine::CedarMachine &machine, const Rank64Params &params)
     lay.c = machine.allocGlobal(std::uint64_t(params.n) * params.n);
 
     std::vector<std::unique_ptr<cluster::OpStream>> streams;
-    unsigned done = 0;
     unsigned total = params.clusters * per_ce;
 
     // Per-cluster setup for the cache version.
@@ -350,21 +350,18 @@ runRank64(machine::CedarMachine &machine, const Rank64Params &params)
     }
 
     // Gang-start every participating cluster.
+    std::vector<runtime::CeLaunch> launches;
     for (unsigned c = 0; c < params.clusters; ++c) {
         // curTick, not 0: a phased workload re-runs the kernel on an
         // already-advanced machine (src/sample live-point windows).
         Tick at =
             machine.clusterAt(c).ccb().concurrentStart(machine.sim().curTick());
         for (unsigned e = 0; e < per_ce; ++e) {
-            auto *stream = streams[c * per_ce + e].get();
-            machine.sim().schedule(at, [&machine, &done, stream, c, e] {
-                machine.clusterAt(c).ce(e).run(stream,
-                                               [&done] { ++done; });
-            });
+            launches.push_back({&machine.clusterAt(c).ce(e),
+                                streams[c * per_ce + e].get(), at});
         }
     }
-
-    machine.sim().run();
+    unsigned done = runtime::runCes(machine, launches);
     sim_assert(done == total, "rank-64 finished only ", done, " of ",
                total, " CEs");
 

@@ -9,6 +9,7 @@
 #include <deque>
 #include <memory>
 
+#include "runtime/launch.hh"
 #include "runtime/streams.hh"
 
 namespace cedar::kernels {
@@ -33,7 +34,6 @@ runTridiag(machine::CedarMachine &machine, const TridiagParams &params)
     Addr y = machine.allocGlobalStaggered(params.n);
 
     std::vector<std::unique_ptr<cluster::OpStream>> streams;
-    unsigned done = 0;
     unsigned rows_per_ce = params.n / params.ces;
 
     for (unsigned c = 0; c < params.ces; ++c) {
@@ -75,13 +75,10 @@ runTridiag(machine::CedarMachine &machine, const TridiagParams &params)
         streams.push_back(std::move(stream));
     }
 
-    for (unsigned c = 0; c < params.ces; ++c) {
-        auto *stream = streams[c].get();
-        machine.sim().schedule(0, [&machine, &done, stream, c] {
-            machine.ceAt(c).run(stream, [&done] { ++done; });
-        });
-    }
-    machine.sim().run();
+    std::vector<runtime::CeLaunch> launches;
+    for (unsigned c = 0; c < params.ces; ++c)
+        launches.push_back({&machine.ceAt(c), streams[c].get(), 0});
+    unsigned done = runtime::runCes(machine, launches);
     sim_assert(done == params.ces, "TM incomplete");
 
     KernelResult result;

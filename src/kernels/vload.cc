@@ -8,6 +8,7 @@
 #include <deque>
 #include <memory>
 
+#include "runtime/launch.hh"
 #include "runtime/streams.hh"
 
 namespace cedar::kernels {
@@ -25,7 +26,6 @@ runVload(machine::CedarMachine &machine, const VloadParams &params)
 
     std::vector<std::unique_ptr<cluster::OpStream>> streams;
     std::vector<unsigned> ces;
-    unsigned done = 0;
 
     for (unsigned c = 0; c < params.ces; ++c) {
         ces.push_back(c);
@@ -46,13 +46,10 @@ runVload(machine::CedarMachine &machine, const VloadParams &params)
         streams.push_back(std::move(stream));
     }
 
-    for (unsigned c = 0; c < params.ces; ++c) {
-        auto *stream = streams[c].get();
-        machine.sim().schedule(0, [&machine, &done, stream, c] {
-            machine.ceAt(c).run(stream, [&done] { ++done; });
-        });
-    }
-    machine.sim().run();
+    std::vector<runtime::CeLaunch> launches;
+    for (unsigned c = 0; c < params.ces; ++c)
+        launches.push_back({&machine.ceAt(c), streams[c].get(), 0});
+    unsigned done = runtime::runCes(machine, launches);
     sim_assert(done == params.ces, "VL incomplete");
 
     KernelResult result;

@@ -28,17 +28,14 @@ CedarMachine::CedarMachine(const CedarConfig &config)
     _watchdog.setDiagnostics([this] { return diagnosticBundle(); });
     _sim.attachWatchdog(&_watchdog);
     registerStats();
-    if (_config.engine_threads >= 1) {
-        enablePdes(_config.engine_threads,
-                   _config.engine_partition_map);
-    }
+    if (_config.engine_threads >= 1)
+        enablePdes(_config.engine_threads);
 }
 
 CedarMachine::~CedarMachine() = default;
 
 EngineCoordinator &
-CedarMachine::enablePdes(unsigned threads,
-                         const std::string &partition_map)
+CedarMachine::enablePdes(unsigned threads)
 {
     sim_assert(!_pdes, "parallel engine is already enabled");
     _pdes = std::make_unique<EngineCoordinator>(child("pdes"), threads);
@@ -49,28 +46,23 @@ CedarMachine::enablePdes(unsigned threads,
     // existing run()/runUntil() call delegate to the coordinator.
     unsigned complex_lp = _pdes->attachPartition(_sim, child("complex"));
 
-    if (partition_map == "cluster") {
-        // One logical process per cluster, linked to the complex both
-        // ways. The channel latencies are the structural minima of the
-        // forward (request) and reverse (response) omega networks:
-        // nothing can cross between a cluster's ports and the memory
-        // side faster than an uncontended packet head, so they are
-        // safe conservative lookahead. Components migrate onto these
-        // partitions by scheduling through them and sending through
-        // the channels; today the machine's event population lives on
-        // the complex, which the coordinator's solo fast path runs at
-        // serial speed (sim/pdes.hh).
-        Tick fwd = _gm->forwardNet().minLatency();
-        Tick rev = _gm->reverseNet().minLatency();
-        for (unsigned c = 0; c < _config.num_clusters; ++c) {
-            std::string nm = child("cluster" + std::to_string(c) + ".lp");
-            unsigned lp = _pdes->addPartition(nm);
-            _pdes->addChannel(lp, complex_lp, fwd, nm + ".fwd");
-            _pdes->addChannel(complex_lp, lp, rev, nm + ".rev");
-        }
+    // One logical process per cluster, linked to the complex both
+    // ways. The channel latencies are the structural minima of the
+    // forward (request) and reverse (response) omega networks: nothing
+    // can cross between a cluster's ports and the memory side faster
+    // than an uncontended packet head, so they are safe conservative
+    // lookahead. Components migrate onto these partitions by
+    // scheduling through them and sending through the channels; today
+    // the machine's event population lives on the complex, which the
+    // coordinator's solo fast path runs at serial speed (sim/pdes.hh).
+    Tick fwd = _gm->forwardNet().minLatency();
+    Tick rev = _gm->reverseNet().minLatency();
+    for (unsigned c = 0; c < _config.num_clusters; ++c) {
+        std::string nm = child("cluster" + std::to_string(c) + ".lp");
+        unsigned lp = _pdes->addPartition(nm);
+        _pdes->addChannel(lp, complex_lp, fwd, nm + ".fwd");
+        _pdes->addChannel(complex_lp, lp, rev, nm + ".rev");
     }
-    // "coarse": the complex partition alone — config.hh validated the
-    // map name, so nothing else to build.
     return *_pdes;
 }
 

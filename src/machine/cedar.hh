@@ -182,10 +182,10 @@ class CedarMachine : public Named
 
     /**
      * Put this machine under a parallel-engine coordinator
-     * (sim/pdes.hh) with @p threads window workers, partitioned per
-     * the given map ("cluster": one logical process per cluster plus
-     * the network+global-memory complex, channel latencies from the
-     * omega networks' structural minima; "coarse": the complex alone).
+     * (sim/pdes.hh) with @p threads window workers: one logical
+     * process per cluster plus the network+global-memory complex,
+     * with channel latencies from the omega networks' structural
+     * minima.
      * The machine's own engine becomes the complex partition, so
      * existing run()/runUntil() call sites work unchanged and — by the
      * coordinator's determinism contract — produce bit-identical
@@ -193,8 +193,7 @@ class CedarMachine : public Named
      * engine. Called from the constructor when config.engine_threads
      * >= 1; may be called once.
      */
-    EngineCoordinator &enablePdes(unsigned threads,
-                                  const std::string &partition_map);
+    EngineCoordinator &enablePdes(unsigned threads);
 
     /** The parallel-engine coordinator, or nullptr (serial engine). */
     EngineCoordinator *pdes() { return _pdes.get(); }

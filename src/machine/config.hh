@@ -34,23 +34,16 @@ struct CedarConfig
 
     /**
      * Parallel-engine worker threads. 0 runs the classic serial engine
-     * with no coordinator at all; N >= 1 partitions the machine per
-     * `engine_partition_map` under an EngineCoordinator with N window
-     * workers (1 = the full window protocol, sequentially — the
-     * determinism reference). Results are bit-identical for every
-     * value (sim/pdes.hh), which is why neither engine knob joins the
+     * with no coordinator at all; N >= 1 partitions the machine into
+     * one logical process per cluster plus the network+global-memory
+     * complex, under an EngineCoordinator with N window workers (1 =
+     * the full window protocol, sequentially — the determinism
+     * reference). Results are bit-identical for every value
+     * (sim/pdes.hh), which is why the knob stays out of the
      * fingerprint: a checkpoint saved under any engine restores under
      * any other.
      */
     unsigned engine_threads = 0;
-
-    /**
-     * How to partition the machine into logical processes:
-     * "cluster" — one partition per cluster plus the network+global-
-     * memory complex; "coarse" — a single complex partition (useful
-     * for isolating partition-map effects in tests).
-     */
-    std::string engine_partition_map = "cluster";
 
     /** Total CEs. */
     unsigned
@@ -141,12 +134,6 @@ struct CedarConfig
         if (engine_threads > 256) {
             reject("engine_threads " + std::to_string(engine_threads) +
                    " is past any plausible host (limit 256)");
-        }
-        if (engine_partition_map != "cluster" &&
-            engine_partition_map != "coarse") {
-            reject("unknown engine_partition_map '" +
-                   engine_partition_map +
-                   "' (expected \"cluster\" or \"coarse\")");
         }
     }
 

@@ -7,6 +7,7 @@
 #include "traffic.hh"
 
 #include <algorithm>
+#include <deque>
 
 #include "sim/error.hh"
 #include "sim/random.hh"
@@ -149,55 +150,92 @@ TrafficGenerator::destinations(unsigned round) const
     return dest;
 }
 
+namespace {
+
+/** What one runTraffic() call shares across its rounds. */
+struct TrafficRun
+{
+    Simulation &sim;
+    Topology &fwd;
+    Topology &rev;
+    const TrafficParams &params;
+    TrafficGenerator gen;
+    TrafficResult res;
+    double latency_sum = 0.0;
+    double queueing_sum = 0.0;
+
+    void
+    injectRound(unsigned round)
+    {
+        std::vector<unsigned> dest = gen.destinations(round);
+        Tick now = sim.curTick();
+        for (unsigned src = 0; src < gen.numPorts(); ++src) {
+            auto req = fwd.traverse(src, dest[src], params.request_words,
+                                    now);
+            Tick head = req.head_arrival;
+            Tick tail = req.tail_arrival;
+            Cycles queueing = req.queueing;
+            if (params.response_words > 0) {
+                // The reply turns around as soon as the request tail
+                // lands (replies are injected per-packet, so reverse-
+                // fabric injections interleave exactly as memory
+                // responses do).
+                auto rep = rev.traverse(dest[src], src,
+                                        params.response_words, tail);
+                head = rep.head_arrival;
+                tail = rep.tail_arrival;
+                queueing += rep.queueing;
+            }
+            ++res.packets;
+            latency_sum += static_cast<double>(head - now);
+            queueing_sum += static_cast<double>(queueing);
+            res.max_latency = std::max(res.max_latency, Tick(head - now));
+            res.makespan = std::max(res.makespan, tail);
+        }
+        sim.noteProgress();
+    }
+};
+
+/** Injects one round of the schedule at its tick. */
+class RoundEvent : public Event
+{
+  public:
+    RoundEvent(TrafficRun &run, unsigned round) : _run(run), _round(round)
+    {
+    }
+
+    void process() override { _run.injectRound(_round); }
+    const char *description() const override { return "traffic.round"; }
+
+  private:
+    TrafficRun &_run;
+    unsigned _round;
+};
+
+} // namespace
+
 TrafficResult
 runTraffic(Simulation &sim, Topology &fwd, Topology &rev,
            const TrafficParams &params)
 {
-    TrafficGenerator gen(fwd.numPorts(), params);
+    TrafficRun run{sim, fwd, rev, params,
+                   TrafficGenerator(fwd.numPorts(), params), {}};
     sim_assert(rev.numPorts() == fwd.numPorts(),
                "forward and reverse fabrics must agree on port count");
-    TrafficResult res;
-    double latency_sum = 0.0;
-    double queueing_sum = 0.0;
     std::uint64_t delivered_before = fwd.deliveredWords();
     Tick start = sim.curTick();
+    std::deque<RoundEvent> rounds;
     for (unsigned round = 0; round < params.rounds; ++round) {
-        Tick when = start + Tick(round) * params.round_interval;
-        sim.schedule(when, [&, round] {
-            std::vector<unsigned> dest = gen.destinations(round);
-            Tick now = sim.curTick();
-            for (unsigned src = 0; src < gen.numPorts(); ++src) {
-                auto req = fwd.traverse(src, dest[src],
-                                        params.request_words, now);
-                Tick head = req.head_arrival;
-                Tick tail = req.tail_arrival;
-                Cycles queueing = req.queueing;
-                if (params.response_words > 0) {
-                    // The reply turns around as soon as the request
-                    // tail lands (replies are injected per-packet, so
-                    // reverse-fabric injections interleave exactly as
-                    // memory responses do).
-                    auto rep = rev.traverse(dest[src], src,
-                                            params.response_words, tail);
-                    head = rep.head_arrival;
-                    tail = rep.tail_arrival;
-                    queueing += rep.queueing;
-                }
-                ++res.packets;
-                latency_sum += static_cast<double>(head - now);
-                queueing_sum += static_cast<double>(queueing);
-                res.max_latency =
-                    std::max(res.max_latency, Tick(head - now));
-                res.makespan = std::max(res.makespan, tail);
-            }
-            sim.noteProgress();
-        });
+        rounds.emplace_back(run, round);
+        sim.schedule(rounds.back(),
+                     start + Tick(round) * params.round_interval);
     }
     sim.run();
+    TrafficResult res = run.res;
     if (res.packets > 0) {
         double n = static_cast<double>(res.packets);
-        res.mean_latency = latency_sum / n;
-        res.mean_queueing = queueing_sum / n;
+        res.mean_latency = run.latency_sum / n;
+        res.mean_queueing = run.queueing_sum / n;
     }
     res.delivered_words = fwd.deliveredWords() - delivered_before;
     return res;

@@ -193,27 +193,12 @@ void
 PrefetchUnit::whenConsumed(unsigned first, unsigned count, Tick start,
                            PfuConsumer &consumer)
 {
-    pushQuery(first, count, start, &consumer, nullptr);
-}
-
-void
-PrefetchUnit::whenConsumed(unsigned first, unsigned count, Tick start,
-                           std::function<void(Tick)> callback)
-{
-    pushQuery(first, count, start, nullptr, std::move(callback));
-}
-
-void
-PrefetchUnit::pushQuery(unsigned first, unsigned count, Tick start,
-                        PfuConsumer *consumer,
-                        std::function<void(Tick)> callback)
-{
     sim_assert(count > 0, "empty consumption query");
     sim_assert(first + count <= _length, "consumption of [", first, ",",
                first + count, ") outside prefetch of ", _length,
                " words");
-    _queries.push_back(Query{first + count - 1, first, count, start,
-                             consumer, std::move(callback)});
+    _queries.push_back(
+        Query{first + count - 1, first, count, start, &consumer});
     answerQueries();
 }
 
@@ -243,15 +228,10 @@ PrefetchUnit::ConsumeEvent::process()
     // Release first: the consumer may immediately queue another
     // consumption and is welcome to reuse this node.
     PfuConsumer *consumer = _consumer;
-    auto fn = std::move(_fn);
     _consumer = nullptr;
-    _fn = nullptr;
     Tick done = _done;
     _pfu.releaseConsumeEvent(this);
-    if (consumer)
-        consumer->pfuConsumed(done);
-    else
-        fn(done);
+    consumer->pfuConsumed(done);
 }
 
 void
@@ -286,7 +266,6 @@ PrefetchUnit::answerQueries()
                 query.first + query.count, ")");
         ConsumeEvent *ev = acquireConsumeEvent();
         ev->_consumer = query.consumer;
-        ev->_fn = std::move(query.callback);
         ev->_done = t;
         _queries.erase(_queries.begin() +
                        static_cast<std::ptrdiff_t>(q));

@@ -16,7 +16,6 @@
 #ifndef CEDARSIM_PREFETCH_PFU_HH
 #define CEDARSIM_PREFETCH_PFU_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -131,10 +130,6 @@ class PrefetchUnit : public Named
     void whenConsumed(unsigned first, unsigned count, Tick start,
                       PfuConsumer &consumer);
 
-    /** Closure convenience for tests (same semantics). */
-    void whenConsumed(unsigned first, unsigned count, Tick start,
-                      std::function<void(Tick)> callback);
-
     /** First-word latencies (issue -> buffer), Table 2's "Latency". */
     const SampleStat &latencyStat() const { return _latency; }
 
@@ -172,9 +167,6 @@ class PrefetchUnit : public Named
     void issueNext();
     void finishBlock();
     void answerQueries();
-    void pushQuery(unsigned first, unsigned count, Tick start,
-                   PfuConsumer *consumer,
-                   std::function<void(Tick)> callback);
 
     Simulation &_sim;
     mem::GlobalMemory &_gm;
@@ -207,7 +199,6 @@ class PrefetchUnit : public Named
         unsigned count;
         Tick start;
         PfuConsumer *consumer;
-        std::function<void(Tick)> callback;
     };
     std::vector<Query> _queries;
 
@@ -227,7 +218,6 @@ class PrefetchUnit : public Named
         friend class PrefetchUnit;
         PrefetchUnit &_pfu;
         PfuConsumer *_consumer = nullptr;
-        std::function<void(Tick)> _fn;
         Tick _done = 0;
         ConsumeEvent *_free_next = nullptr;
     };

@@ -364,7 +364,6 @@ struct LoopRunner::LoopContext : public cluster::CeDoneListener
     /** Machine-wide CE indices the gang runs on (parallel to streams). */
     std::vector<unsigned> ces;
     unsigned remaining = 0;
-    std::function<void()> done;
     LoopDoneListener *done_listener = nullptr;
     // CDOALL self-scheduling state (bus-serialized, so a plain counter).
     unsigned next_iter = 0;
@@ -446,17 +445,13 @@ LoopRunner::LoopContext::ceDone()
     if (--remaining > 0)
         return;
     // Release before notifying: every CE has detached from its stream,
-    // and the completion handler may immediately launch another loop
-    // that reuses this context.
-    auto d = std::move(done);
-    done = nullptr;
+    // and the listener may immediately launch another loop that reuses
+    // this context.
     LoopDoneListener *listener = done_listener;
     done_listener = nullptr;
     runner.releaseContext(this);
     if (listener)
         listener->loopDone();
-    else if (d)
-        d();
 }
 
 /**
@@ -540,7 +535,7 @@ struct LoopRunner::SdoallContext
     unsigned n = 0;
     unsigned idle = 0;
     unsigned num_clusters = 0;
-    std::function<void()> done;
+    LoopDoneListener *done = nullptr;
     /** One slot per participating cluster; kept across launches. */
     std::vector<std::unique_ptr<Slot>> slots;
 };
@@ -575,8 +570,8 @@ LoopRunner::SdoallContext::Slot::dispatch()
     if (work.serial_cycles > 0) {
         serial_stream = ProgramStream(
             std::vector<Op>{Op::makeScalar(work.serial_cycles)});
-        ctx.runner._machine.clusterAt(cluster).ce(0).run(
-            &serial_stream, static_cast<cluster::CeDoneListener *>(this));
+        ctx.runner._machine.clusterAt(cluster).ce(0).run(&serial_stream,
+                                                         this);
     } else {
         runInner();
     }
@@ -587,7 +582,7 @@ LoopRunner::SdoallContext::Slot::runInner()
 {
     if (work.inner_iters > 0) {
         ctx.runner.cdoallAsync(cluster, work.inner_iters, work.inner_body,
-                               static_cast<LoopDoneListener *>(this));
+                               this);
     } else {
         pump();
     }
@@ -597,11 +592,11 @@ void
 LoopRunner::SdoallContext::finish()
 {
     // Release before notifying, as with LoopContext::ceDone().
-    auto d = std::move(done);
+    LoopDoneListener *listener = done;
     done = nullptr;
     runner.releaseSdoallContext(this);
-    if (d)
-        d();
+    if (listener)
+        listener->loopDone();
 }
 
 LoopRunner::LoopRunner(machine::CedarMachine &m,
@@ -629,7 +624,6 @@ LoopRunner::acquireContext()
     ctx->streams.clear();
     ctx->ces.clear();
     ctx->remaining = 0;
-    ctx->done = nullptr;
     ctx->done_listener = nullptr;
     ctx->next_iter = 0;
     ctx->n_iters = 0;
@@ -671,26 +665,8 @@ LoopRunner::releaseSdoallContext(SdoallContext *ctx)
 
 void
 LoopRunner::cdoallAsync(unsigned cluster_idx, unsigned n_iters,
-                        IterationBody body, std::function<void()> done,
-                        unsigned num_ces)
-{
-    launchCdoall(cluster_idx, n_iters, std::move(body), std::move(done),
-                 nullptr, num_ces);
-}
-
-void
-LoopRunner::cdoallAsync(unsigned cluster_idx, unsigned n_iters,
                         IterationBody body, LoopDoneListener *done,
                         unsigned num_ces)
-{
-    launchCdoall(cluster_idx, n_iters, std::move(body), nullptr, done,
-                 num_ces);
-}
-
-void
-LoopRunner::launchCdoall(unsigned cluster_idx, unsigned n_iters,
-                         IterationBody body, std::function<void()> done,
-                         LoopDoneListener *listener, unsigned num_ces)
 {
     auto &cl = _machine.clusterAt(cluster_idx);
     unsigned n_ces = num_ces ? num_ces : cl.numCes();
@@ -700,8 +676,7 @@ LoopRunner::launchCdoall(unsigned cluster_idx, unsigned n_iters,
     LoopContext &ctx = acquireContext();
     ctx.body = std::move(body);
     ctx.remaining = n_ces;
-    ctx.done = std::move(done);
-    ctx.done_listener = listener;
+    ctx.done_listener = done;
     ctx.n_iters = n_iters;
     ctx.alive = n_ces;
 
@@ -733,33 +708,14 @@ LoopRunner::launchCdoall(unsigned cluster_idx, unsigned n_iters,
 
 void
 LoopRunner::xdoallAsync(std::vector<unsigned> ces, unsigned n_iters,
-                        IterationBody body, std::function<void()> done,
-                        Schedule sched)
-{
-    launchXdoall(std::move(ces), n_iters, std::move(body), std::move(done),
-                 nullptr, sched);
-}
-
-void
-LoopRunner::xdoallAsync(std::vector<unsigned> ces, unsigned n_iters,
                         IterationBody body, LoopDoneListener *done,
                         Schedule sched)
-{
-    launchXdoall(std::move(ces), n_iters, std::move(body), nullptr, done,
-                 sched);
-}
-
-void
-LoopRunner::launchXdoall(std::vector<unsigned> ces, unsigned n_iters,
-                         IterationBody body, std::function<void()> done,
-                         LoopDoneListener *listener, Schedule sched)
 {
     sim_assert(!ces.empty(), "XDOALL needs at least one CE");
     LoopContext &ctx = acquireContext();
     ctx.body = std::move(body);
     ctx.remaining = static_cast<unsigned>(ces.size());
-    ctx.done = std::move(done);
-    ctx.done_listener = listener;
+    ctx.done_listener = done;
     ctx.n_iters = n_iters;
     ctx.ces = std::move(ces);
 
@@ -809,14 +765,14 @@ LoopRunner::launchXdoall(std::vector<unsigned> ces, unsigned n_iters,
 
 void
 LoopRunner::sdoallAsync(std::vector<unsigned> clusters, unsigned n_iters,
-                        SdoallBody body, std::function<void()> done)
+                        SdoallBody body, LoopDoneListener *done)
 {
     sim_assert(!clusters.empty(), "SDOALL needs at least one cluster");
     SdoallContext &ctx = acquireSdoallContext();
     ctx.body = std::move(body);
     ctx.n = n_iters;
     ctx.num_clusters = static_cast<unsigned>(clusters.size());
-    ctx.done = std::move(done);
+    ctx.done = done;
     while (ctx.slots.size() < clusters.size())
         ctx.slots.push_back(std::make_unique<SdoallContext::Slot>(ctx));
 
@@ -835,53 +791,61 @@ LoopRunner::sdoallAsync(std::vector<unsigned> clusters, unsigned n_iters,
     }
 }
 
+namespace {
+
+/** A blocking launch's join: records the tick the loop joined at. */
+class JoinTick : public LoopDoneListener
+{
+  public:
+    explicit JoinTick(Simulation &sim) : _sim(sim) {}
+
+    void
+    loopDone() override
+    {
+        finished = true;
+        end = _sim.curTick();
+    }
+
+    bool finished = false;
+    Tick end = 0;
+
+  private:
+    Simulation &_sim;
+};
+
+} // namespace
+
 Tick
 LoopRunner::cdoall(unsigned cluster_idx, unsigned n_iters,
                    const IterationBody &body, unsigned num_ces)
 {
-    bool finished = false;
-    Tick end = 0;
-    cdoallAsync(cluster_idx, n_iters, body,
-                [&] {
-                    finished = true;
-                    end = _machine.sim().curTick();
-                },
-                num_ces);
+    JoinTick join(_machine.sim());
+    cdoallAsync(cluster_idx, n_iters, body, &join, num_ces);
     _machine.sim().run();
-    sim_assert(finished, "CDOALL did not complete");
-    return end;
+    sim_assert(join.finished, "CDOALL did not complete");
+    return join.end;
 }
 
 Tick
 LoopRunner::xdoall(std::vector<unsigned> ces, unsigned n_iters,
                    const IterationBody &body, Schedule sched)
 {
-    bool finished = false;
-    Tick end = 0;
-    xdoallAsync(std::move(ces), n_iters, body,
-                [&] {
-                    finished = true;
-                    end = _machine.sim().curTick();
-                },
-                sched);
+    JoinTick join(_machine.sim());
+    xdoallAsync(std::move(ces), n_iters, body, &join, sched);
     _machine.sim().run();
-    sim_assert(finished, "XDOALL did not complete");
-    return end;
+    sim_assert(join.finished, "XDOALL did not complete");
+    return join.end;
 }
 
 Tick
 LoopRunner::sdoall(std::vector<unsigned> clusters, unsigned n_iters,
                    const SdoallBody &body)
 {
-    bool finished = false;
-    Tick end = 0;
-    sdoallAsync(std::move(clusters), n_iters, body, [&] {
-        finished = true;
-        end = _machine.sim().curTick();
-    });
+    JoinTick join(_machine.sim());
+    sdoallAsync(std::move(clusters), n_iters, body, &join);
     _machine.sim().run();
-    sim_assert(finished, "SDOALL did not complete");
-    return end;
+    sim_assert(join.finished, "SDOALL did not complete");
+    return join.end;
 }
 
 std::vector<unsigned>

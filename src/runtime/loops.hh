@@ -51,11 +51,9 @@ class LoopDoneListener
 /**
  * Orchestrates parallel loops on a CedarMachine.
  *
- * Internally every launch runs on a pooled LoopContext whose gang
- * start, per-CE completion, and SDOALL pump/dispatch steps are event
- * objects and interface calls — the engine-facing paths allocate no
- * closures. The public API keeps std::function conveniences; the
- * listener overloads are the zero-overhead form nested loops use.
+ * Every launch runs on a pooled LoopContext whose gang start, per-CE
+ * completion, and SDOALL pump/dispatch steps are event objects and
+ * interface calls; a launch reports its join to a LoopDoneListener.
  */
 class LoopRunner
 {
@@ -68,28 +66,18 @@ class LoopRunner
     const RuntimeParams &params() const { return _params; }
 
     /**
-     * Launch a CDOALL on one cluster; @p done fires at loop join.
+     * Launch a CDOALL on one cluster; @p done is told at loop join.
      * @param cluster_idx cluster to run on
      * @param n_iters     iteration count
      * @param body        iteration body generator
-     * @param done        completion callback
+     * @param done        join listener (nullptr: nobody is told)
      * @param num_ces     CEs to use (0 = all in the cluster)
      */
-    void cdoallAsync(unsigned cluster_idx, unsigned n_iters,
-                     IterationBody body, std::function<void()> done,
-                     unsigned num_ces = 0);
-
-    /** Listener form of cdoallAsync (no closure allocation at join). */
     void cdoallAsync(unsigned cluster_idx, unsigned n_iters,
                      IterationBody body, LoopDoneListener *done,
                      unsigned num_ces = 0);
 
     /** Launch an XDOALL over an explicit set of machine-wide CEs. */
-    void xdoallAsync(std::vector<unsigned> ces, unsigned n_iters,
-                     IterationBody body, std::function<void()> done,
-                     Schedule sched = Schedule::self_scheduled);
-
-    /** Listener form of xdoallAsync. */
     void xdoallAsync(std::vector<unsigned> ces, unsigned n_iters,
                      IterationBody body, LoopDoneListener *done,
                      Schedule sched = Schedule::self_scheduled);
@@ -111,7 +99,7 @@ class LoopRunner
 
     /** Launch an SDOALL over a set of clusters. */
     void sdoallAsync(std::vector<unsigned> clusters, unsigned n_iters,
-                     SdoallBody body, std::function<void()> done);
+                     SdoallBody body, LoopDoneListener *done);
 
     /**
      * Blocking variants: launch, drive the simulation to completion,
@@ -136,13 +124,6 @@ class LoopRunner
     struct SdoallContext;
     friend struct LoopContext;
     friend struct SdoallContext;
-
-    void launchCdoall(unsigned cluster_idx, unsigned n_iters,
-                      IterationBody body, std::function<void()> done,
-                      LoopDoneListener *listener, unsigned num_ces);
-    void launchXdoall(std::vector<unsigned> ces, unsigned n_iters,
-                      IterationBody body, std::function<void()> done,
-                      LoopDoneListener *listener, Schedule sched);
 
     LoopContext &acquireContext();
     void releaseContext(LoopContext *ctx);

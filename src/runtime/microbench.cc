@@ -10,6 +10,7 @@
 
 #include "machine/cedar.hh"
 #include "runtime/gmbarrier.hh"
+#include "runtime/launch.hh"
 #include "runtime/loops.hh"
 #include "runtime/streams.hh"
 
@@ -86,17 +87,13 @@ measureGmBarrierMicros(unsigned ces, unsigned episodes)
     machine.gm().pokeCell(cell, 0);
 
     std::vector<std::unique_ptr<BarrierBench>> streams;
-    unsigned done = 0;
     for (unsigned c = 0; c < ces; ++c)
         streams.push_back(
             std::make_unique<BarrierBench>(cell, ces, episodes));
-    for (unsigned c = 0; c < ces; ++c) {
-        auto *stream = streams[c].get();
-        machine.sim().schedule(0, [&machine, &done, stream, c] {
-            machine.ceAt(c).run(stream, [&done] { ++done; });
-        });
-    }
-    machine.sim().run();
+    std::vector<CeLaunch> launches;
+    for (unsigned c = 0; c < ces; ++c)
+        launches.push_back({&machine.ceAt(c), streams[c].get(), 0});
+    unsigned done = runCes(machine, launches);
     sim_assert(done == ces, "barrier bench incomplete");
     Tick end = 0;
     for (unsigned c = 0; c < ces; ++c)

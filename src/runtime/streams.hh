@@ -52,26 +52,6 @@ class ProgramStream : public OpStream
 };
 
 /**
- * Produces the ops of a GeneratorStream. The interface form is the
- * allocation-free plumbing the loop runtime builds on; the closure
- * constructor below adapts lambdas onto it for kernels and tests.
- */
-class Generator
-{
-  public:
-    virtual ~Generator() = default;
-
-    /**
-     * Push more ops onto @p out.
-     * @return false when nothing further will ever be added
-     */
-    virtual bool refill(std::deque<Op> &out) = 0;
-
-    /** Receives sync results (used by self-scheduling protocols). */
-    virtual void onSync(const mem::SyncResult &) {}
-};
-
-/**
  * A stream driven by a refill generator. The generator is asked to push
  * more ops whenever the internal queue runs dry and returns false when
  * it has nothing further to add; sync results are forwarded to the
@@ -83,13 +63,8 @@ class GeneratorStream : public OpStream
     using Refill = std::function<bool(std::deque<Op> &)>;
     using SyncHandler = std::function<void(const mem::SyncResult &)>;
 
-    /** Interface-backed form; @p gen must outlive the stream. */
-    explicit GeneratorStream(Generator &gen) : _gen(&gen) {}
-
-    /** Closure convenience: wraps the lambdas in an owned adapter. */
     explicit GeneratorStream(Refill refill, SyncHandler on_sync = nullptr)
-        : _fn_gen(std::move(refill), std::move(on_sync)),
-          _gen(&_fn_gen)
+        : _refill(std::move(refill)), _on_sync(std::move(on_sync))
     {
     }
 
@@ -97,7 +72,7 @@ class GeneratorStream : public OpStream
     next(Op &op) override
     {
         while (_pending.empty()) {
-            if (_done || !_gen->refill(_pending)) {
+            if (_done || !_refill(_pending)) {
                 _done = true;
                 return false;
             }
@@ -110,7 +85,8 @@ class GeneratorStream : public OpStream
     void
     syncResult(const mem::SyncResult &res) override
     {
-        _gen->onSync(res);
+        if (_on_sync)
+            _on_sync(res);
     }
 
     /** Push ops from the sync handler (e.g. retry a failed lock). */
@@ -118,36 +94,8 @@ class GeneratorStream : public OpStream
     void pushBack(const Op &op) { _pending.push_back(op); }
 
   private:
-    /** Adapter carrying the legacy closure pair. */
-    class FnGenerator : public Generator
-    {
-      public:
-        FnGenerator() = default;
-        FnGenerator(Refill refill, SyncHandler on_sync)
-            : _refill(std::move(refill)), _on_sync(std::move(on_sync))
-        {
-        }
-
-        bool
-        refill(std::deque<Op> &out) override
-        {
-            return _refill(out);
-        }
-
-        void
-        onSync(const mem::SyncResult &res) override
-        {
-            if (_on_sync)
-                _on_sync(res);
-        }
-
-      private:
-        Refill _refill;
-        SyncHandler _on_sync;
-    };
-
-    FnGenerator _fn_gen;
-    Generator *_gen;
+    Refill _refill;
+    SyncHandler _on_sync;
     std::deque<Op> _pending;
     bool _done = false;
 };

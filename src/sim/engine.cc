@@ -1,12 +1,11 @@
 /**
  * @file
- * Event loop, intrusive heap maintenance, and the CallbackEvent pool.
+ * Event loop and intrusive heap maintenance.
  */
 
 #include "engine.hh"
 
 #include <chrono>
-#include <utility>
 
 #include "checkpoint.hh"
 #include "error.hh"
@@ -28,22 +27,10 @@ Event::~Event()
         _sim->deschedule(*this);
 }
 
-void
-CallbackEvent::process()
-{
-    // Return to the pool before running: the callback may schedule
-    // more one-shots and is welcome to reuse this node immediately.
-    EventFunc fn = std::move(_fn);
-    _fn = nullptr;
-    _owner.releaseCallback(this);
-    fn();
-}
-
 Simulation::~Simulation()
 {
     // Unlink anything still queued so Event destructors running after
-    // this (pool nodes, or component events destroyed later) see a
-    // consistent heap.
+    // this (component events destroyed later) see a consistent heap.
     while (!_heap.empty())
         popTop();
     if (_profiler)
@@ -122,27 +109,6 @@ Simulation::deschedule(Event &ev)
         siftDown(i);
         siftUp(i);
     }
-}
-
-CallbackEvent *
-Simulation::acquireCallback()
-{
-    if (_free_callbacks) {
-        CallbackEvent *ev = _free_callbacks;
-        _free_callbacks = ev->_free_next;
-        ev->_free_next = nullptr;
-        ++_pool_reuses;
-        return ev;
-    }
-    _pool.emplace_back(new CallbackEvent(*this));
-    return _pool.back().get();
-}
-
-void
-Simulation::releaseCallback(CallbackEvent *ev)
-{
-    ev->_free_next = _free_callbacks;
-    _free_callbacks = ev;
 }
 
 Tick
@@ -259,8 +225,8 @@ Simulation::runLocal(Tick limit, bool drain_hook)
         }
 #ifndef CEDAR_NO_HOST_PROFILE
         if (_profiler) {
-            // CallbackEvent recycles itself inside process(), so the
-            // kind string must be latched before dispatch.
+            // Latch the kind before dispatch: process() may hand the
+            // event back to an owner that reuses or frees it.
             const char *kind = ev->description();
             std::uint64_t t0 = hostprofNow();
             ev->process();

@@ -6,9 +6,8 @@
  * event.hh). Components schedule their member events at absolute
  * ticks; ties are broken first by an explicit priority and then by
  * insertion order, so runs are fully deterministic. The queue is an
- * intrusive binary heap of Event pointers — scheduling a component's
- * member event allocates nothing, and one-shot closures ride on a
- * free-list-recycled CallbackEvent pool.
+ * intrusive binary heap of Event pointers, so scheduling allocates
+ * nothing: every event is an object its owner keeps.
  */
 
 #ifndef CEDARSIM_SIM_ENGINE_HH
@@ -16,7 +15,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -31,9 +29,6 @@ namespace cedar {
 class CheckpointWriter;
 class CheckpointReader;
 class EngineCoordinator;
-
-/** Callback type executed when a one-shot pooled event fires. */
-using EventFunc = std::function<void()>;
 
 /**
  * Discrete-event simulator core. One instance per simulated machine;
@@ -96,31 +91,6 @@ class Simulation
     }
 
     /**
-     * Schedule a one-shot callback at an absolute tick. Backed by the
-     * CallbackEvent pool: steady state reuses freed nodes.
-     * @param when absolute tick, must be >= curTick()
-     * @param fn   callback to run
-     * @param prio same-tick ordering class
-     */
-    void
-    schedule(Tick when, EventFunc fn,
-             EventPriority prio = EventPriority::normal)
-    {
-        CallbackEvent *ev = acquireCallback();
-        ev->_fn = std::move(fn);
-        ev->_priority = static_cast<int>(prio);
-        schedule(*ev, when);
-    }
-
-    /** Schedule a one-shot callback a relative number of cycles ahead. */
-    void
-    scheduleIn(Cycles delta, EventFunc fn,
-               EventPriority prio = EventPriority::normal)
-    {
-        schedule(_now + delta, std::move(fn), prio);
-    }
-
-    /**
      * Run until the queue drains or stop() is called. When this engine
      * is one partition of an EngineCoordinator, the call delegates to
      * the coordinator, which windows every partition forward together
@@ -164,12 +134,6 @@ class Simulation
         double s = hostSeconds();
         return s > 0.0 ? static_cast<double>(_events_executed) / s : 0.0;
     }
-
-    /** CallbackEvent nodes ever allocated by this engine's pool. */
-    std::size_t callbackPoolAllocated() const { return _pool.size(); }
-
-    /** One-shot schedules served by recycling a freed pool node. */
-    std::uint64_t callbackPoolReuses() const { return _pool_reuses; }
 
     /** Events executed by every Simulation in this process. */
     static std::uint64_t
@@ -252,7 +216,7 @@ class Simulation
      * Snapshot the engine clocks (tick, sequence counter, event total)
      * into section "cedar.engine". Legal only at a quiescent point:
      * raises a `checkpoint` SimError while events are still queued,
-     * because queued closures cannot be serialized.
+     * because a queued event is a live object a snapshot cannot name.
      */
     void saveState(CheckpointWriter &w) const;
 
@@ -267,7 +231,6 @@ class Simulation
 
   private:
     friend class Event;
-    friend class CallbackEvent;
     friend class EngineCoordinator;
 
     /**
@@ -301,9 +264,6 @@ class Simulation
     /** Remove and return the next event to fire (queue must be non-empty). */
     Event *popTop();
 
-    CallbackEvent *acquireCallback();
-    void releaseCallback(CallbackEvent *ev);
-
     /** Intrusive min-heap on (when, priority, seq). */
     std::vector<Event *> _heap;
     Tick _now = 0;
@@ -316,11 +276,6 @@ class Simulation
     unsigned _partition = 0;
     /** Per-kind host-time attribution; allocated only when armed. */
     std::unique_ptr<HostProfiler> _profiler;
-
-    /** CallbackEvent pool: owned storage plus an intrusive free list. */
-    std::vector<std::unique_ptr<CallbackEvent>> _pool;
-    CallbackEvent *_free_callbacks = nullptr;
-    std::uint64_t _pool_reuses = 0;
 
     /** Host-time accounting, per engine and process-wide. The
      *  process-wide totals are atomic because engines on concurrent

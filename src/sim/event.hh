@@ -16,9 +16,10 @@
  *    simulation it is scheduled on must still be alive at that point
  *    (components referencing a Simulation already guarantee this).
  *
- * For genuinely one-shot work, Simulation keeps a free-list pool of
- * CallbackEvents behind the legacy `schedule(Tick, std::function)`
- * API; steady state reuses freed nodes instead of allocating.
+ * Events are the only thing the engine schedules. One-shot work is an
+ * event its owner keeps until it fires; completions that cross
+ * components go through listener interfaces (PfuConsumer,
+ * BarrierWaiter, CeDoneListener, LoopDoneListener).
  */
 
 #ifndef CEDARSIM_SIM_EVENT_HH
@@ -26,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "sim/types.hh"
 
@@ -47,7 +47,7 @@ enum class EventPriority : int
 /**
  * Base class of everything the engine can schedule. Same-tick events
  * fire in (priority, seq) order, where seq is assigned at schedule
- * time — insertion order, exactly as the closure engine behaved.
+ * time, i.e. insertion order.
  */
 class Event
 {
@@ -115,28 +115,6 @@ class MemberEvent : public Event
   private:
     T &_obj;
     const char *_desc;
-};
-
-/**
- * Pooled one-shot closure shim. Only Simulation creates these: the
- * legacy `schedule(Tick, std::function)` API draws one from the
- * simulation's free list, and process() returns it there before
- * running the callback (so the callback may itself schedule).
- */
-class CallbackEvent : public Event
-{
-  public:
-    void process() override;
-    const char *description() const override { return "callback"; }
-
-  private:
-    friend class Simulation;
-
-    explicit CallbackEvent(Simulation &owner) : _owner(owner) {}
-
-    Simulation &_owner;
-    std::function<void()> _fn;
-    CallbackEvent *_free_next = nullptr;
 };
 
 } // namespace cedar

@@ -6,7 +6,7 @@
  * with a pair of cheap timestamp reads (rdtsc where the ISA has it,
  * steady_clock otherwise) and charges the elapsed host time to the
  * event's *kind* — the static description string its class carries
- * ("ce.advance", "pfu.issue", "callback", ...). Because events never
+ * ("ce.advance", "pfu.issue", "ce.start", ...). Because events never
  * nest, the charged time is exclusive by construction.
  *
  * The cost discipline mirrors the monitor probes: disarmed, the hot

@@ -120,26 +120,27 @@ EngineCoordinator::addChannel(unsigned src, unsigned dst, Tick min_latency,
 }
 
 void
-EngineCoordinator::send(unsigned channel_id, Tick arrival, EventFunc fn,
-                        EventPriority prio)
+EngineCoordinator::send(unsigned channel_id, Event &ev, Tick arrival)
 {
-    stage(channel_id, arrival, std::move(fn), prio, true);
+    stage(channel_id, ev, arrival, true);
 }
 
 void
-EngineCoordinator::sendUnchecked(unsigned channel_id, Tick arrival,
-                                 EventFunc fn, EventPriority prio)
+EngineCoordinator::sendUnchecked(unsigned channel_id, Event &ev,
+                                 Tick arrival)
 {
-    stage(channel_id, arrival, std::move(fn), prio, false);
+    stage(channel_id, ev, arrival, false);
 }
 
 void
-EngineCoordinator::stage(unsigned channel_id, Tick arrival, EventFunc fn,
-                         EventPriority prio, bool checked)
+EngineCoordinator::stage(unsigned channel_id, Event &ev, Tick arrival,
+                         bool checked)
 {
     sim_assert(channel_id < _channels.size(), "send on unknown channel #",
                channel_id);
     const PdesChannel &ch = _channels[channel_id];
+    sim_assert(!ev.scheduled(), "message event '", ev.description(),
+               "' sent on channel '", ch.name, "' while still queued");
     Simulation &src = *_parts[ch.src].sim;
     if (checked) {
         Tick earliest = satAdd(src.curTick(), ch.min_latency);
@@ -154,10 +155,9 @@ EngineCoordinator::stage(unsigned channel_id, Tick arrival, EventFunc fn,
                     std::to_string(earliest) + ")");
         }
     }
-    _outbox[channel_id].push_back(Pending{arrival, static_cast<int>(prio),
+    _outbox[channel_id].push_back(Pending{arrival, ev.priority(),
                                           channel_id,
-                                          _send_seq[channel_id]++,
-                                          std::move(fn)});
+                                          _send_seq[channel_id]++, &ev});
     // A send invalidates the solo fast path: the destination may now
     // answer back into the sender's near future. Stop the solo drain
     // after the current event; the coordinator loop resumes windowed.
@@ -211,8 +211,7 @@ EngineCoordinator::deliverPending()
                     std::to_string(dst.curTick()) +
                     "); a sender bypassed the latency contract");
         }
-        dst.schedule(m.arrival, std::move(m.fn),
-                     static_cast<EventPriority>(m.prio));
+        dst.schedule(*m.ev, m.arrival);
         ++_messages_delivered;
     }
     _messages_sent += batch.size();

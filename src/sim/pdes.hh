@@ -20,10 +20,11 @@
  *     latencies, never on thread count or host scheduling.
  *  2. Within a window, partitions share no mutable state; each runs
  *     its own (when, priority, seq) serial order.
- *  3. Messages buffer in per-channel outboxes (single writer: the
- *     sending partition) stamped with a per-channel send sequence.
- *     At each barrier they are delivered in sorted
- *     (arrival, priority, channel id, channel seq) order, so the
+ *  3. A message is an Event the sender owns. Messages buffer in
+ *     per-channel outboxes (single writer: the sending partition)
+ *     stamped with a per-channel send sequence. At each barrier they
+ *     are scheduled on their destinations in sorted
+ *     (arrival, event priority, channel id, channel seq) order, so the
  *     destination queue's insertion order — and hence its same-tick
  *     tie-breaking — is identical at any thread count.
  *
@@ -141,23 +142,23 @@ class EngineCoordinator : public Named
     unsigned threads() const { return _threads; }
 
     /**
-     * Send a cross-partition message: @p fn runs on the destination
-     * partition at tick @p arrival with ordinary engine tie-breaking
-     * under @p prio. Must be called from the source partition (its
-     * executing event, or between runs). Raises a `lookahead` SimError
-     * when @p arrival is closer than the channel's declared latency to
-     * the source partition's current tick.
+     * Send a cross-partition message: @p ev fires on the destination
+     * partition at tick @p arrival, ordered by its own priority with
+     * ordinary engine tie-breaking. The sender owns @p ev and keeps it
+     * alive until it has fired; it must not be queued when sent. Must
+     * be called from the source partition (its executing event, or
+     * between runs). Raises a `lookahead` SimError when @p arrival is
+     * closer than the channel's declared latency to the source
+     * partition's current tick.
      */
-    void send(unsigned channel_id, Tick arrival, EventFunc fn,
-              EventPriority prio = EventPriority::normal);
+    void send(unsigned channel_id, Event &ev, Tick arrival);
 
     /**
      * Test hook: bypass the sender-side latency check. The delivery-
      * side check at the next barrier must still catch a violating
      * arrival — tests/test_pdes.cc injects violations through this.
      */
-    void sendUnchecked(unsigned channel_id, Tick arrival, EventFunc fn,
-                       EventPriority prio = EventPriority::normal);
+    void sendUnchecked(unsigned channel_id, Event &ev, Tick arrival);
 
     /** Run until every partition drains or a stop is requested. */
     Tick run() { return runUntil(max_tick); }
@@ -202,11 +203,11 @@ class EngineCoordinator : public Named
         int prio;
         unsigned channel;
         std::uint64_t seq;
-        EventFunc fn;
+        Event *ev;
     };
 
-    void stage(unsigned channel_id, Tick arrival, EventFunc fn,
-               EventPriority prio, bool checked);
+    void stage(unsigned channel_id, Event &ev, Tick arrival,
+               bool checked);
     void deliverPending();
     bool outboxesEmpty() const;
     /** Execute one window: every runnable partition up to @p horizon. */

@@ -7,7 +7,7 @@
  * subsystem answers "when did it happen" — the time-resolved view the
  * paper's performance study was built from (phase-by-phase CE
  * utilization, network saturation ramps). A TelemetrySampler owns one
- * pooled engine event at EventPriority::stats: every `interval`
+ * member event at EventPriority::stats: every `interval`
  * simulated ticks it snapshots the registry, computes per-interval
  * deltas and simulated-time rates, and writes one self-contained JSON
  * line to a pluggable TelemetrySink. When the rest of the event queue

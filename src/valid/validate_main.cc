@@ -64,8 +64,6 @@ usage(const char *argv0, int code)
         "  --engine-threads N   run every scenario's machine under the "
         "parallel engine with N window workers (0: classic serial "
         "engine; results are bit-identical for any N)\n"
-        "  --engine-partition-map NAME  logical-process map for the "
-        "parallel engine: cluster (default) or coarse\n"
         "  --perturb KEY=VALUE  perturb the machine config "
         "(repeatable); e.g. gm.module_conflict_extra=3\n",
         argv0);
@@ -195,7 +193,6 @@ main(int argc, char **argv)
     ValidationOptions vopts;
     std::vector<Perturbation> perturbations;
     unsigned engine_threads = 0;
-    std::string engine_map;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -244,14 +241,6 @@ main(int argc, char **argv)
                 return 2;
             }
             engine_threads = unsigned(t);
-        } else if (arg == "--engine-partition-map") {
-            engine_map = next("cluster or coarse");
-            if (engine_map != "cluster" && engine_map != "coarse") {
-                std::fprintf(stderr, "--engine-partition-map wants "
-                                     "'cluster' or 'coarse', got '%s'\n",
-                             engine_map.c_str());
-                return 2;
-            }
         } else if (arg == "--telemetry-interval") {
             const char *v = next("a tick count");
             char *end = nullptr;
@@ -354,19 +343,17 @@ main(int argc, char **argv)
                         k.set(cfg, p.value);
         };
     }
-    if (engine_threads > 0 || !engine_map.empty()) {
+    if (engine_threads > 0) {
         // Compose onto any perturbation hook: every scenario machine is
         // then built under the chosen engine. The goldens do not change
         // — the parallel engine is bit-identical by contract, and CI
         // diffs full reports across --engine-threads values to prove it.
         auto prev = vopts.config_hook;
-        vopts.config_hook = [prev, engine_threads,
-                             engine_map](machine::CedarConfig &cfg) {
+        vopts.config_hook = [prev,
+                             engine_threads](machine::CedarConfig &cfg) {
             if (prev)
                 prev(cfg);
             cfg.engine_threads = engine_threads;
-            if (!engine_map.empty())
-                cfg.engine_partition_map = engine_map;
         };
     }
 

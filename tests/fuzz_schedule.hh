@@ -13,6 +13,10 @@
  * so the set of firings and their (tick, priority) are engine-
  * independent by construction, and any divergence a test observes is
  * the engine's fault.
+ *
+ * Every corpus event is a LambdaEvent owned by a std::deque that
+ * outlives the run: one per partition for events made during a
+ * coordinated run, so each partition's thread appends only to its own.
  */
 
 #ifndef CEDARSIM_TESTS_FUZZ_SCHEDULE_HH
@@ -20,12 +24,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <tuple>
 #include <vector>
 
 #include "sim/engine.hh"
 #include "sim/pdes.hh"
 #include "sim/random.hh"
+#include "test_events.hh"
 
 namespace cedar::test::fuzz {
 
@@ -79,7 +86,7 @@ hash3(std::uint64_t seed, std::uint64_t a, std::uint64_t b)
  * generation stream matches the original property-test helper, so
  * serial-engine expectations carry over unchanged.
  *
- * @p schedule is called as schedule(i, when, prio, fn) and decides
+ * @p schedule is called as schedule(i, when, prio) and decides
  * where event i lives — one engine, or partition i % P of many.
  */
 template <class ScheduleFn>
@@ -106,16 +113,15 @@ runFlatSerial(std::uint64_t seed, unsigned n, Tick horizon)
     Simulation sim;
     std::vector<Firing> fired;
     fired.reserve(n);
+    std::deque<LambdaEvent> events;
     buildFlatCorpus(seed, n, horizon,
                     [&](unsigned i, Tick when, EventPriority prio) {
-                        sim.schedule(when,
-                                     [&fired, &sim, prio, i] {
-                                         fired.push_back(
-                                             {sim.curTick(),
-                                              static_cast<int>(prio), 0,
-                                              i});
-                                     },
-                                     prio);
+                        auto record = [&fired, &sim, prio, i] {
+                            fired.push_back({sim.curTick(),
+                                             static_cast<int>(prio), 0, i});
+                        };
+                        sim.schedule(events.emplace_back(record, prio),
+                                     when);
                     });
     sim.run();
     return fired;
@@ -136,18 +142,17 @@ runFlatPartitioned(std::uint64_t seed, unsigned n, Tick horizon,
     for (unsigned p = 0; p < partitions; ++p)
         coord.addPartition("fuzz.flat.p" + std::to_string(p));
     std::vector<std::vector<Firing>> fired(partitions);
+    std::deque<LambdaEvent> events;
     buildFlatCorpus(
         seed, n, horizon,
         [&](unsigned i, Tick when, EventPriority prio) {
             unsigned p = i % partitions;
             Simulation &sim = coord.partition(p);
-            sim.schedule(when,
-                         [&fired, &sim, prio, p, i] {
-                             fired[p].push_back({sim.curTick(),
-                                                 static_cast<int>(prio),
-                                                 p, i});
-                         },
-                         prio);
+            auto record = [&fired, &sim, prio, p, i] {
+                fired[p].push_back(
+                    {sim.curTick(), static_cast<int>(prio), p, i});
+            };
+            sim.schedule(events.emplace_back(record, prio), when);
         });
     coord.run();
     return fired;
@@ -177,7 +182,8 @@ struct MessageCorpus
  * windowed engine must keep deterministic: same-tick cross-channel
  * merges, windows with several active partitions, solo-drain tails.
  *
- * Env contract:
+ * Env contract (each call that takes @p fn makes one owned event that
+ * runs it):
  *   Tick now(unsigned p)                      — partition p's clock
  *   void record(unsigned p, int prio, unsigned index)
  *   void scheduleAt(p, Tick when, EventPriority, fn)
@@ -224,6 +230,69 @@ driveMessageCorpus(const MessageCorpus &mc, Env &env,
 }
 
 /**
+ * The message corpus's environment under an EngineCoordinator with a
+ * full channel mesh. Each partition owns the events made on it and
+ * the messages it sends.
+ */
+struct CoordEnv
+{
+    EngineCoordinator coord;
+    std::vector<std::vector<unsigned>> chan;
+    std::vector<std::vector<Firing>> fired;
+    std::vector<std::deque<LambdaEvent>> owned;
+
+    CoordEnv(const MessageCorpus &mc, unsigned threads)
+        : coord("fuzz.msg", threads),
+          chan(mc.partitions, std::vector<unsigned>(mc.partitions, 0)),
+          fired(mc.partitions), owned(mc.partitions)
+    {
+        for (unsigned p = 0; p < mc.partitions; ++p)
+            coord.addPartition("fuzz.msg.p" + std::to_string(p));
+        // Channel ids in (src, dst) lexicographic order — fixed
+        // declaration order is part of the merge-rule contract.
+        for (unsigned s = 0; s < mc.partitions; ++s)
+            for (unsigned d = 0; d < mc.partitions; ++d)
+                if (s != d)
+                    chan[s][d] = coord.addChannel(s, d, mc.latency);
+    }
+
+    Tick now(unsigned p) { return coord.partition(p).curTick(); }
+
+    void
+    record(unsigned p, int prio, unsigned index)
+    {
+        fired[p].push_back({coord.partition(p).curTick(), prio, p, index});
+    }
+
+    void
+    scheduleAt(unsigned p, Tick when, EventPriority prio,
+               std::function<void()> fn)
+    {
+        coord.partition(p).schedule(
+            owned[p].emplace_back(std::move(fn), prio), when);
+    }
+
+    void
+    scheduleIn(unsigned p, Cycles delta, EventPriority prio,
+               std::function<void()> fn)
+    {
+        coord.partition(p).scheduleIn(
+            owned[p].emplace_back(std::move(fn), prio), delta);
+    }
+
+    void
+    sendMsg(unsigned src, unsigned dst, Tick arrival, EventPriority prio,
+            unsigned index)
+    {
+        auto deliver = [this, dst, prio, index] {
+            record(dst, static_cast<int>(prio), index);
+        };
+        coord.send(chan[src][dst], owned[src].emplace_back(deliver, prio),
+                   arrival);
+    }
+};
+
+/**
  * Run the message corpus under an EngineCoordinator with a full
  * channel mesh. Returns per-partition firing traces (execution
  * order). The firing multiset — identity, tick, priority — is engine-
@@ -233,63 +302,6 @@ driveMessageCorpus(const MessageCorpus &mc, Env &env,
 inline std::vector<std::vector<Firing>>
 runMessageCorpus(const MessageCorpus &mc, unsigned threads)
 {
-    struct CoordEnv
-    {
-        EngineCoordinator coord;
-        std::vector<std::vector<unsigned>> chan;
-        std::vector<std::vector<Firing>> fired;
-
-        explicit CoordEnv(const MessageCorpus &mc, unsigned threads)
-            : coord("fuzz.msg", threads),
-              chan(mc.partitions,
-                   std::vector<unsigned>(mc.partitions, 0)),
-              fired(mc.partitions)
-        {
-            for (unsigned p = 0; p < mc.partitions; ++p)
-                coord.addPartition("fuzz.msg.p" + std::to_string(p));
-            // Channel ids in (src, dst) lexicographic order — fixed
-            // declaration order is part of the merge-rule contract.
-            for (unsigned s = 0; s < mc.partitions; ++s)
-                for (unsigned d = 0; d < mc.partitions; ++d)
-                    if (s != d)
-                        chan[s][d] = coord.addChannel(s, d, mc.latency);
-        }
-
-        Tick now(unsigned p) { return coord.partition(p).curTick(); }
-
-        void
-        record(unsigned p, int prio, unsigned index)
-        {
-            fired[p].push_back(
-                {coord.partition(p).curTick(), prio, p, index});
-        }
-
-        void
-        scheduleAt(unsigned p, Tick when, EventPriority prio,
-                   EventFunc fn)
-        {
-            coord.partition(p).schedule(when, std::move(fn), prio);
-        }
-
-        void
-        scheduleIn(unsigned p, Cycles delta, EventPriority prio,
-                   EventFunc fn)
-        {
-            coord.partition(p).scheduleIn(delta, std::move(fn), prio);
-        }
-
-        void
-        sendMsg(unsigned src, unsigned dst, Tick arrival,
-                EventPriority prio, unsigned index)
-        {
-            coord.send(chan[src][dst], arrival,
-                       [this, dst, prio, index] {
-                           record(dst, static_cast<int>(prio), index);
-                       },
-                       prio);
-        }
-    };
-
     CoordEnv env(mc, threads);
     std::function<void(unsigned, unsigned, unsigned)> step;
     driveMessageCorpus(mc, env, step);
@@ -310,6 +322,7 @@ runMessageSerial(const MessageCorpus &mc)
     {
         Simulation sim;
         std::vector<std::vector<Firing>> fired;
+        std::deque<LambdaEvent> owned;
 
         explicit SerialEnv(const MessageCorpus &mc)
             : fired(mc.partitions)
@@ -325,27 +338,27 @@ runMessageSerial(const MessageCorpus &mc)
         }
 
         void
-        scheduleAt(unsigned, Tick when, EventPriority prio, EventFunc fn)
+        scheduleAt(unsigned, Tick when, EventPriority prio,
+                   std::function<void()> fn)
         {
-            sim.schedule(when, std::move(fn), prio);
+            sim.schedule(owned.emplace_back(std::move(fn), prio), when);
         }
 
         void
         scheduleIn(unsigned, Cycles delta, EventPriority prio,
-                   EventFunc fn)
+                   std::function<void()> fn)
         {
-            sim.scheduleIn(delta, std::move(fn), prio);
+            sim.scheduleIn(owned.emplace_back(std::move(fn), prio), delta);
         }
 
         void
-        sendMsg(unsigned, unsigned dst, Tick arrival,
-                EventPriority prio, unsigned index)
+        sendMsg(unsigned, unsigned dst, Tick arrival, EventPriority prio,
+                unsigned index)
         {
-            sim.schedule(arrival,
-                         [this, dst, prio, index] {
-                             record(dst, static_cast<int>(prio), index);
-                         },
-                         prio);
+            auto deliver = [this, dst, prio, index] {
+                record(dst, static_cast<int>(prio), index);
+            };
+            sim.schedule(owned.emplace_back(deliver, prio), arrival);
         }
     };
 

@@ -23,6 +23,7 @@
 #include "sim/fault.hh"
 #include "sim/random.hh"
 #include "sim/telemetry.hh"
+#include "test_events.hh"
 
 using namespace cedar;
 
@@ -250,7 +251,8 @@ TEST(CheckpointFormat, FileRoundTrip)
 TEST(CheckpointMachine, RefusesNonQuiescentSave)
 {
     machine::CedarMachine m;
-    m.sim().schedule(100, [] {});
+    test::LambdaEvent pending([] {});
+    m.sim().schedule(pending, 100);
     expectCheckpointError([&] { m.saveCheckpoint(); },
                           "pending events");
 }

@@ -9,9 +9,11 @@
 
 #include "cluster/cluster.hh"
 #include "runtime/streams.hh"
+#include "test_events.hh"
 
 using namespace cedar;
 using namespace cedar::cluster;
+using cedar::test::CompletionLog;
 
 // ---------------------------------------------------------------------
 // FluidResource
@@ -177,14 +179,14 @@ TEST(CcBus, BarrierReleasesAllAtOnce)
     Simulation sim;
     ConcurrencyControlBus ccb("ccb", sim, 4, CcBusParams{});
     auto barrier = ccb.makeBarrier(3);
-    std::vector<Tick> released;
-    barrier.arrive(10, [&](Tick t) { released.push_back(t); });
-    barrier.arrive(25, [&](Tick t) { released.push_back(t); });
+    CompletionLog released;
+    barrier.arrive(10, released);
+    barrier.arrive(25, released);
     EXPECT_EQ(barrier.waiting(), 2u);
-    barrier.arrive(40, [&](Tick t) { released.push_back(t); });
+    barrier.arrive(40, released);
     sim.run();
-    ASSERT_EQ(released.size(), 3u);
-    for (Tick t : released)
+    ASSERT_EQ(released.ticks.size(), 3u);
+    for (Tick t : released.ticks)
         EXPECT_EQ(t, 40 + CcBusParams{}.join_cycles);
 }
 
@@ -193,14 +195,14 @@ TEST(CcBus, BarrierIsReusable)
     Simulation sim;
     ConcurrencyControlBus ccb("ccb", sim, 2, CcBusParams{});
     auto barrier = ccb.makeBarrier(2);
-    int episodes = 0;
-    barrier.arrive(0, [&](Tick) { ++episodes; });
-    barrier.arrive(0, [&](Tick) { ++episodes; });
+    CompletionLog released;
+    barrier.arrive(0, released);
+    barrier.arrive(0, released);
     sim.run();
-    barrier.arrive(100, [&](Tick) { ++episodes; });
-    barrier.arrive(100, [&](Tick) { ++episodes; });
+    barrier.arrive(100, released);
+    barrier.arrive(100, released);
     sim.run();
-    EXPECT_EQ(episodes, 4);
+    EXPECT_EQ(released.ticks.size(), 4u);
 }
 
 // ---------------------------------------------------------------------
@@ -222,10 +224,10 @@ struct CeFixture : public ::testing::Test
     runOps(std::vector<Op> ops)
     {
         runtime::ProgramStream stream(std::move(ops));
-        bool done = false;
-        cluster_obj.ce(0).run(&stream, [&] { done = true; });
+        CompletionLog done;
+        cluster_obj.ce(0).run(&stream, &done);
         sim.run();
-        EXPECT_TRUE(done);
+        EXPECT_EQ(done.ces_done, 1u);
         return cluster_obj.ce(0).lastDone();
     }
 
@@ -282,11 +284,11 @@ TEST_F(CeFixture, PrefetchedVectorBeatsGlobalDirect)
     runtime::ProgramStream stream(
         {Op::makePrefetch(mem::globalAddr(4096), 32),
          Op::makeVectorFromPrefetch(32, 0, 2.0)});
-    bool done = false;
-    cluster_obj.ce(1).run(&stream, [&] { done = true; });
+    CompletionLog done;
+    cluster_obj.ce(1).run(&stream, &done);
     Tick start = sim.curTick();
     sim.run();
-    ASSERT_TRUE(done);
+    ASSERT_EQ(done.ces_done, 1u);
     Tick prefetched = cluster_obj.ce(1).lastDone() - start;
     EXPECT_LT(prefetched, direct);
 }
@@ -305,10 +307,10 @@ TEST_F(CeFixture, SyncOpDeliversResultToStream)
             return true;
         },
         [&](const mem::SyncResult &r) { results.push_back(r); });
-    bool done = false;
-    cluster_obj.ce(0).run(&stream, [&] { done = true; });
+    CompletionLog done;
+    cluster_obj.ce(0).run(&stream, &done);
     sim.run();
-    ASSERT_TRUE(done);
+    ASSERT_EQ(done.ces_done, 1u);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].old_value, 7);
     EXPECT_EQ(gm.peekCell(mem::globalAddr(4)), 9);
@@ -320,11 +322,11 @@ TEST_F(CeFixture, BarrierOpJoinsCes)
     runtime::ProgramStream fast({Op::makeBarrier(id)});
     runtime::ProgramStream slow(
         {Op::makeScalar(500), Op::makeBarrier(id)});
-    unsigned done = 0;
-    cluster_obj.ce(0).run(&fast, [&] { ++done; });
-    cluster_obj.ce(1).run(&slow, [&] { ++done; });
+    CompletionLog done;
+    cluster_obj.ce(0).run(&fast, &done);
+    cluster_obj.ce(1).run(&slow, &done);
     sim.run();
-    EXPECT_EQ(done, 2u);
+    EXPECT_EQ(done.ces_done, 2u);
     // Both exit together, after the slow CE's 500 cycles.
     EXPECT_GE(cluster_obj.ce(0).lastDone(), 500u);
     EXPECT_EQ(cluster_obj.ce(0).lastDone(), cluster_obj.ce(1).lastDone());

@@ -15,6 +15,7 @@
 #include "sim/error.hh"
 #include "sim/fault.hh"
 #include "sim/watchdog.hh"
+#include "test_events.hh"
 
 using namespace cedar;
 using namespace cedar::runtime;
@@ -373,7 +374,7 @@ TEST(WatchdogTest, ConvertsDeadlockIntoTypedError)
     unsigned barrier = cl.newBarrier(2);
     runtime::ProgramStream stream(
         {cluster::Op::makeScalar(10), cluster::Op::makeBarrier(barrier)});
-    cl.ce(0).run(&stream, [] {});
+    cl.ce(0).run(&stream, nullptr);
     try {
         machine.sim().run();
         FAIL() << "deadlock went undetected";
@@ -395,10 +396,8 @@ TEST(WatchdogTest, ConvertsLivelockIntoTypedError)
     machine::CedarMachine machine(cfg);
     // Self-rescheduling event that never marks progress: a spin loop
     // whose condition can never become true.
-    std::function<void()> spin = [&] {
-        machine.sim().scheduleIn(5, spin);
-    };
-    machine.sim().scheduleIn(5, spin);
+    test::LambdaEvent spin([&] { machine.sim().scheduleIn(spin, 5); });
+    machine.sim().scheduleIn(spin, 5);
     try {
         machine.sim().run();
         FAIL() << "livelock went undetected";
@@ -426,6 +425,6 @@ TEST(WatchdogTest, DisabledWatchdogLetsDrainPass)
     auto &cl = machine.clusterAt(0);
     unsigned barrier = cl.newBarrier(2);
     runtime::ProgramStream stream({cluster::Op::makeBarrier(barrier)});
-    cl.ce(0).run(&stream, [] {});
+    cl.ce(0).run(&stream, nullptr);
     EXPECT_NO_THROW(machine.sim().run()); // legacy silent-hang behavior
 }

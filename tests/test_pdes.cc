@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 
 using namespace cedar;
 using namespace cedar::test::fuzz;
+using cedar::test::LambdaEvent;
 
 namespace {
 
@@ -151,58 +153,12 @@ TEST(PdesFuzz, HorizonChunkedRunsMatchOneShotRun)
     MessageCorpus mc;
     auto oneshot = runMessageCorpus(mc, 2);
 
-    EngineCoordinator coord("fuzz.chunk", 2);
-    for (unsigned p = 0; p < mc.partitions; ++p)
-        coord.addPartition("fuzz.chunk.p" + std::to_string(p));
-    std::vector<std::vector<unsigned>> chan(
-        mc.partitions, std::vector<unsigned>(mc.partitions, 0));
-    for (unsigned s = 0; s < mc.partitions; ++s)
-        for (unsigned d = 0; d < mc.partitions; ++d)
-            if (s != d)
-                chan[s][d] = coord.addChannel(s, d, mc.latency);
-
-    std::vector<std::vector<Firing>> fired(mc.partitions);
-    struct Env
-    {
-        EngineCoordinator &coord;
-        std::vector<std::vector<unsigned>> &chan;
-        std::vector<std::vector<Firing>> &fired;
-
-        Tick now(unsigned p) { return coord.partition(p).curTick(); }
-        void
-        record(unsigned p, int prio, unsigned index)
-        {
-            fired[p].push_back(
-                {coord.partition(p).curTick(), prio, p, index});
-        }
-        void
-        scheduleAt(unsigned p, Tick when, EventPriority prio,
-                   EventFunc fn)
-        {
-            coord.partition(p).schedule(when, std::move(fn), prio);
-        }
-        void
-        scheduleIn(unsigned p, Cycles delta, EventPriority prio,
-                   EventFunc fn)
-        {
-            coord.partition(p).scheduleIn(delta, std::move(fn), prio);
-        }
-        void
-        sendMsg(unsigned src, unsigned dst, Tick arrival,
-                EventPriority prio, unsigned index)
-        {
-            coord.send(chan[src][dst], arrival,
-                       [this, dst, prio, index] {
-                           record(dst, static_cast<int>(prio), index);
-                       },
-                       prio);
-        }
-    } env{coord, chan, fired};
+    CoordEnv env(mc, 2);
     std::function<void(unsigned, unsigned, unsigned)> step;
     driveMessageCorpus(mc, env, step);
-    for (Tick horizon = 37; !coord.quiescent(); horizon += 37)
-        coord.runUntil(horizon);
-    expectSameTraces(oneshot, fired, "chunked vs one-shot");
+    for (Tick horizon = 37; !env.coord.quiescent(); horizon += 37)
+        env.coord.runUntil(horizon);
+    expectSameTraces(oneshot, env.fired, "chunked vs one-shot");
 }
 
 // ---------------------------------------------------------------------
@@ -215,10 +171,12 @@ TEST(PdesLookahead, CheckedSendBelowLatencyThrowsTypedError)
     unsigned a = coord.addPartition("la.a");
     unsigned b = coord.addPartition("la.b");
     unsigned ab = coord.addChannel(a, b, 5);
-    coord.partition(a).schedule(10, [&] {
+    LambdaEvent msg([] {});
+    LambdaEvent sender([&] {
         // Earliest legal arrival is 15; 14 violates the contract.
-        coord.send(ab, 14, [] {});
+        coord.send(ab, msg, 14);
     });
+    coord.partition(a).schedule(sender, 10);
     try {
         coord.run();
         FAIL() << "expected a lookahead SimError";
@@ -238,9 +196,9 @@ TEST(PdesLookahead, CheckedSendAtExactLatencyIsLegal)
     unsigned b = coord.addPartition("la.b");
     unsigned ab = coord.addChannel(a, b, 5);
     bool delivered = false;
-    coord.partition(a).schedule(10, [&] {
-        coord.send(ab, 15, [&] { delivered = true; });
-    });
+    LambdaEvent msg([&] { delivered = true; });
+    LambdaEvent sender([&] { coord.send(ab, msg, 15); });
+    coord.partition(a).schedule(sender, 10);
     coord.run();
     EXPECT_TRUE(delivered);
     EXPECT_EQ(coord.partition(b).curTick(), 15u);
@@ -257,11 +215,12 @@ TEST(PdesLookahead, InjectedViolationCaughtAtDelivery)
     unsigned b = coord.addPartition("la.b");
     unsigned ab = coord.addChannel(a, b, 5);
     // Walk b well past tick 2 first.
+    std::deque<LambdaEvent> walk;
     for (Tick t = 0; t <= 20; ++t)
-        coord.partition(b).schedule(t, [] {});
-    coord.partition(a).schedule(100, [&] {
-        coord.sendUnchecked(ab, 2, [] {});
-    });
+        coord.partition(b).schedule(walk.emplace_back([] {}), t);
+    LambdaEvent msg([] {});
+    LambdaEvent sender([&] { coord.sendUnchecked(ab, msg, 2); });
+    coord.partition(a).schedule(sender, 100);
     try {
         coord.run();
         FAIL() << "expected a lookahead SimError at delivery";
@@ -271,6 +230,30 @@ TEST(PdesLookahead, InjectedViolationCaughtAtDelivery)
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(PdesLookahead, SendingAQueuedEventPanics)
+{
+    // A message is an event its sender owns; one still queued on the
+    // sender's partition cannot also travel a channel.
+    EngineCoordinator coord("la", 1);
+    unsigned a = coord.addPartition("la.a");
+    unsigned b = coord.addPartition("la.b");
+    unsigned ab = coord.addChannel(a, b, 5);
+    LambdaEvent msg([] {});
+    coord.partition(a).schedule(msg, 50);
+    try {
+        coord.send(ab, msg, 10);
+        FAIL() << "expected an assertion SimError";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), SimError::Kind::assertion);
+        EXPECT_NE(std::string(e.what()).find("still queued"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(coord.messagesSent(), 0u);
+    coord.run();
+    EXPECT_EQ(coord.messagesDelivered(), 0u);
 }
 
 TEST(PdesLookahead, ZeroLatencyChannelRejected)
@@ -309,9 +292,10 @@ TEST(PdesEngine, StopFromAPartitionStopsTheWholeRun)
     unsigned b = coord.addPartition("stop.b");
     coord.addChannel(a, b, 3);
     bool late_fired = false;
-    coord.partition(b).schedule(500, [&] { late_fired = true; });
-    coord.partition(a).schedule(10,
-                                [&] { coord.partition(a).stop(); });
+    LambdaEvent late([&] { late_fired = true; });
+    LambdaEvent stopper([&] { coord.partition(a).stop(); });
+    coord.partition(b).schedule(late, 500);
+    coord.partition(a).schedule(stopper, 10);
     coord.run();
     EXPECT_FALSE(late_fired) << "stop() did not stop the whole run";
     EXPECT_FALSE(coord.quiescent()) << "the late event should remain";
@@ -325,14 +309,15 @@ TEST(PdesEngine, SoloFastPathTakenAndCounted)
     unsigned a = coord.addPartition("solo.a");
     coord.addPartition("solo.b");
     unsigned fired = 0;
-    std::function<void(unsigned)> chain = [&](unsigned left) {
+    unsigned left = 50;
+    LambdaEvent chain([&] {
         ++fired;
-        if (left > 0)
-            coord.partition(a).scheduleIn(3, [&chain, left] {
-                chain(left - 1);
-            });
-    };
-    coord.partition(a).schedule(0, [&chain] { chain(50); });
+        if (left > 0) {
+            --left;
+            coord.partition(a).scheduleIn(chain, 3);
+        }
+    });
+    coord.partition(a).schedule(chain, 0);
     coord.run();
     EXPECT_EQ(fired, 51u);
     EXPECT_GT(coord.soloRuns(), 0u);
@@ -348,8 +333,9 @@ TEST(PdesEngine, RunUntilLeavesClocksAtHorizonLikeSerial)
     unsigned a = coord.addPartition("hz.a");
     unsigned b = coord.addPartition("hz.b");
     coord.addChannel(a, b, 5);
-    coord.partition(a).schedule(100, [] {});
-    coord.partition(b).schedule(200, [] {});
+    LambdaEvent at100([] {}), at200([] {});
+    coord.partition(a).schedule(at100, 100);
+    coord.partition(b).schedule(at200, 200);
     coord.runUntil(50);
     EXPECT_EQ(coord.partition(a).curTick(), 50u);
     EXPECT_EQ(coord.partition(b).curTick(), 50u);
@@ -386,12 +372,10 @@ deterministicRegistry(machine::CedarMachine &m)
 }
 
 std::string
-runKernelUnderEngine(unsigned engine_threads,
-                     const std::string &partition_map)
+runKernelUnderEngine(unsigned engine_threads)
 {
     machine::CedarConfig cfg;
     cfg.engine_threads = engine_threads;
-    cfg.engine_partition_map = partition_map;
     machine::CedarMachine machine(cfg);
     kernels::Rank64Params p;
     p.n = 96;
@@ -405,14 +389,12 @@ runKernelUnderEngine(unsigned engine_threads,
 
 TEST(PdesMachine, RegistryIdenticalAcrossEnginesAndThreadCounts)
 {
-    std::string serial = runKernelUnderEngine(0, "cluster");
+    std::string serial = runKernelUnderEngine(0);
     ASSERT_GT(serial.size(), 1000u);
     for (unsigned threads : {1u, 2u, 4u}) {
-        EXPECT_EQ(serial, runKernelUnderEngine(threads, "cluster"))
+        EXPECT_EQ(serial, runKernelUnderEngine(threads))
             << "registry diverged at engine_threads=" << threads;
     }
-    EXPECT_EQ(serial, runKernelUnderEngine(2, "coarse"))
-        << "registry diverged under the coarse partition map";
 }
 
 TEST(PdesMachine, ClusterMapBuildsTheExpectedPartitionGraph)
@@ -448,37 +430,34 @@ TEST(PdesMachine, MachineChannelsCarrySyntheticClusterTraffic)
         // Partition 0 is the complex; 1..4 the clusters. Channel 2c is
         // cluster c -> complex, 2c+1 the reverse.
         std::vector<std::uint64_t> sums(coord.numPartitions(), 0);
-        // Kept alive for the whole run: the scheduled closures hold
-        // references into this vector.
-        std::vector<std::function<void(unsigned)>> ticks(4);
+        // Messages stay owned by their sending partition for the whole
+        // run; each partition's thread appends only to its own deque.
+        std::vector<std::deque<LambdaEvent>> sent(coord.numPartitions());
+        std::deque<LambdaEvent> ticks;
         for (unsigned c = 0; c < 4; ++c) {
             Tick fwd = coord.channel(2 * c).min_latency;
             Tick rev = coord.channel(2 * c + 1).min_latency;
-            ticks[c] = [&coord, &sums, &ticks, c, fwd,
-                        rev](unsigned left) {
+            auto reply = [&sums, c] { sums[1 + c] ^= 0x5a5au + c; };
+            auto request = [&coord, &sums, &sent, c, rev, reply] {
+                Simulation &cx = coord.partition(0);
+                sums[0] ^= mix(cx.curTick() + c);
+                coord.send(2 * c + 1, sent[0].emplace_back(reply),
+                           cx.curTick() + rev);
+            };
+            ticks.emplace_back([&coord, &sums, &sent, &ticks, c, fwd,
+                                request, left = 30u]() mutable {
                 Simulation &lp = coord.partition(1 + c);
                 sums[1 + c] ^= mix(lp.curTick() + c);
                 if (left % 2 == 0) {
-                    coord.send(
-                        2 * c, lp.curTick() + fwd,
-                        [&coord, &sums, c, rev] {
-                            Simulation &cx = coord.partition(0);
-                            sums[0] ^= mix(cx.curTick() + c);
-                            coord.send(2 * c + 1, cx.curTick() + rev,
-                                       [&sums, c] {
-                                           sums[1 + c] ^= 0x5a5au + c;
-                                       });
-                        });
+                    coord.send(2 * c, sent[1 + c].emplace_back(request),
+                               lp.curTick() + fwd);
                 }
-                if (left > 0)
-                    coord.partition(1 + c).scheduleIn(
-                        2 + c, [&ticks, c, left] {
-                            ticks[c](left - 1);
-                        });
-            };
-            coord.partition(1 + c).schedule(c, [&ticks, c] {
-                ticks[c](30);
+                if (left > 0) {
+                    --left;
+                    lp.scheduleIn(ticks[c], 2 + c);
+                }
             });
+            coord.partition(1 + c).schedule(ticks.back(), c);
         }
         machine.sim().run(); // delegates to the coordinator
         EXPECT_GT(coord.windows(), 0u);
@@ -502,7 +481,8 @@ TEST(PdesMachine, CheckpointRefusedWhileAMessageIsInFlight)
     EngineCoordinator &coord = *machine.pdes();
     // Stage a message on cluster0 -> complex without running: the
     // coordinator is not quiescent, so a snapshot must be refused.
-    coord.send(0, coord.channel(0).min_latency, [] {});
+    LambdaEvent msg([] {});
+    coord.send(0, msg, coord.channel(0).min_latency);
     try {
         machine.saveCheckpoint();
         FAIL() << "expected a checkpoint SimError";
@@ -517,20 +497,16 @@ TEST(PdesMachine, CheckpointRefusedWhileAMessageIsInFlight)
 TEST(PdesMachine, ConfigRejectsBadEngineKnobs)
 {
     machine::CedarConfig cfg;
-    cfg.engine_partition_map = "hexagonal";
+    cfg.engine_threads = 1000;
     try {
         cfg.validate();
         FAIL() << "expected a config SimError";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), SimError::Kind::config);
     }
-    machine::CedarConfig cfg2;
-    cfg2.engine_threads = 1000;
-    EXPECT_THROW(cfg2.validate(), SimError);
-    // And the engine knobs stay out of the fingerprint: checkpoints
+    // And the engine knob stays out of the fingerprint: checkpoints
     // interoperate across engines by design.
     machine::CedarConfig serial_cfg, pdes_cfg;
     pdes_cfg.engine_threads = 4;
-    pdes_cfg.engine_partition_map = "coarse";
     EXPECT_EQ(serial_cfg.fingerprint(), pdes_cfg.fingerprint());
 }

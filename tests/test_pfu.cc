@@ -14,10 +14,12 @@
 #include "mem/globalmem.hh"
 #include "prefetch/pfu.hh"
 #include "sim/engine.hh"
+#include "test_events.hh"
 
 using namespace cedar;
 using cedar::prefetch::PfuParams;
 using cedar::prefetch::PrefetchUnit;
+using cedar::test::CompletionLog;
 
 namespace {
 
@@ -108,12 +110,12 @@ TEST(PfuPageCrossing, SuspensionDelaysInOrderConsumption)
     // boundary cannot finish before the post-boundary arrivals.
     Fixture f;
     f.pfu.fire(mem::globalAddr(mem::words_per_page - 8), 16, 1, 0);
-    Tick done = 0;
-    f.pfu.whenConsumed(0, 16, 0, [&](Tick t) { done = t; });
+    CompletionLog done;
+    f.pfu.whenConsumed(0, 16, 0, done);
     f.sim.run();
     ASSERT_TRUE(f.pfu.complete());
-    EXPECT_EQ(done, expectedConsumeTick(f.pfu, 0, 16, 0));
-    EXPECT_GE(done, f.pfu.wordArrival(15) + PfuParams{}.drain_cycles);
+    EXPECT_EQ(done.last(), expectedConsumeTick(f.pfu, 0, 16, 0));
+    EXPECT_GE(done.last(), f.pfu.wordArrival(15) + PfuParams{}.drain_cycles);
 }
 
 // ---------------------------------------------------------------------
@@ -179,8 +181,8 @@ TEST(PfuOutOfOrder, CongestedWordGatesTheConsumptionStream)
 {
     CongestedFixture f;
     f.pfu.fire(mem::globalAddr(0), 32, 1, 0);
-    Tick done = 0;
-    f.pfu.whenConsumed(0, 32, 0, [&](Tick t) { done = t; });
+    CompletionLog done;
+    f.pfu.whenConsumed(0, 32, 0, done);
     f.sim.run();
     ASSERT_TRUE(f.pfu.complete());
 
@@ -188,9 +190,9 @@ TEST(PfuOutOfOrder, CongestedWordGatesTheConsumptionStream)
     // arrivals — each word drains one cycle after its predecessor but
     // never before it is present — so the late word gates every word
     // after it.
-    EXPECT_EQ(done, expectedConsumeTick(f.pfu, 0, 32, 0));
+    EXPECT_EQ(done.last(), expectedConsumeTick(f.pfu, 0, 32, 0));
     const unsigned hot = CongestedFixture::hot_word;
-    EXPECT_GE(done, f.pfu.wordArrival(hot) + PfuParams{}.drain_cycles +
+    EXPECT_GE(done.last(), f.pfu.wordArrival(hot) + PfuParams{}.drain_cycles +
                         (31 - hot));
 }
 
@@ -198,15 +200,15 @@ TEST(PfuOutOfOrder, PrefixConsumptionUnaffectedByCongestedSuffix)
 {
     CongestedFixture f;
     f.pfu.fire(mem::globalAddr(0), 32, 1, 0);
-    Tick head_done = 0, tail_done = 0;
+    CompletionLog head_done, tail_done;
     // The tail [16, 32) starts at the congested word; the head query
     // [2, 8) covers only uncongested modules and answers early.
-    f.pfu.whenConsumed(2, 6, 0, [&](Tick t) { head_done = t; });
-    f.pfu.whenConsumed(16, 16, 0, [&](Tick t) { tail_done = t; });
+    f.pfu.whenConsumed(2, 6, 0, head_done);
+    f.pfu.whenConsumed(16, 16, 0, tail_done);
     f.sim.run();
-    EXPECT_EQ(head_done, expectedConsumeTick(f.pfu, 2, 6, 0));
-    EXPECT_EQ(tail_done, expectedConsumeTick(f.pfu, 16, 16, 0));
-    EXPECT_LT(head_done, tail_done);
+    EXPECT_EQ(head_done.last(), expectedConsumeTick(f.pfu, 2, 6, 0));
+    EXPECT_EQ(tail_done.last(), expectedConsumeTick(f.pfu, 16, 16, 0));
+    EXPECT_LT(head_done.last(), tail_done.last());
 }
 
 TEST(PfuOutOfOrder, SyntheticFillsConsumeInRequestOrder)
@@ -221,12 +223,12 @@ TEST(PfuOutOfOrder, SyntheticFillsConsumeInRequestOrder)
     EXPECT_FALSE(std::is_sorted(arrivals.begin(), arrivals.end()));
     EXPECT_EQ(f.pfu.wordArrival(1), 200u);
 
-    Tick done = 0;
-    f.pfu.whenConsumed(0, 8, 0, [&](Tick t) { done = t; });
+    CompletionLog done;
+    f.pfu.whenConsumed(0, 8, 0, done);
     f.sim.run();
-    EXPECT_EQ(done, expectedConsumeTick(f.pfu, 0, 8, 0));
+    EXPECT_EQ(done.last(), expectedConsumeTick(f.pfu, 0, 8, 0));
     // The late word gates all six words behind it...
-    EXPECT_EQ(done, 200 + PfuParams{}.drain_cycles + 6);
+    EXPECT_EQ(done.last(), 200 + PfuParams{}.drain_cycles + 6);
 }
 
 TEST(PfuOutOfOrder, SyntheticSuffixBehindLateWordAnswersFirst)
@@ -235,23 +237,23 @@ TEST(PfuOutOfOrder, SyntheticSuffixBehindLateWordAnswersFirst)
     // one that includes it — per-range independence of the fold.
     Fixture f;
     f.pfu.fireSynthetic({8, 200, 10, 12, 14, 16, 18, 20});
-    Tick head_done = 0, tail_done = 0;
-    f.pfu.whenConsumed(0, 2, 0, [&](Tick t) { head_done = t; });
-    f.pfu.whenConsumed(2, 6, 0, [&](Tick t) { tail_done = t; });
+    CompletionLog head_done, tail_done;
+    f.pfu.whenConsumed(0, 2, 0, head_done);
+    f.pfu.whenConsumed(2, 6, 0, tail_done);
     f.sim.run();
-    EXPECT_EQ(head_done, expectedConsumeTick(f.pfu, 0, 2, 0));
-    EXPECT_EQ(tail_done, expectedConsumeTick(f.pfu, 2, 6, 0));
-    EXPECT_LT(tail_done, head_done);
+    EXPECT_EQ(head_done.last(), expectedConsumeTick(f.pfu, 0, 2, 0));
+    EXPECT_EQ(tail_done.last(), expectedConsumeTick(f.pfu, 2, 6, 0));
+    EXPECT_LT(tail_done.last(), head_done.last());
 }
 
 TEST(PfuOutOfOrder, QueryBeforeArrivalAnswersAtArrivalNotBefore)
 {
     Fixture f;
     f.pfu.fire(mem::globalAddr(0), 32, 1, 0);
-    Tick done = 0;
+    CompletionLog done;
     // Registered at tick 0, long before word 31 arrives at ~2*31+8.
-    f.pfu.whenConsumed(31, 1, 0, [&](Tick t) { done = t; });
+    f.pfu.whenConsumed(31, 1, 0, done);
     f.sim.run();
-    EXPECT_EQ(done,
+    EXPECT_EQ(done.last(),
               f.pfu.wordArrival(31) + f.pfu.params().drain_cycles);
 }

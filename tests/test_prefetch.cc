@@ -10,10 +10,12 @@
 #include "mem/globalmem.hh"
 #include "prefetch/pfu.hh"
 #include "sim/engine.hh"
+#include "test_events.hh"
 
 using namespace cedar;
 using cedar::prefetch::PfuParams;
 using cedar::prefetch::PrefetchUnit;
+using cedar::test::CompletionLog;
 
 namespace {
 
@@ -62,33 +64,33 @@ TEST_F(PfuFixture, ArrivalsTrackStride)
 TEST_F(PfuFixture, WhenConsumedStreamsInOrder)
 {
     pfu.fire(mem::globalAddr(0), 32, 1, 0);
-    Tick done = 0;
-    pfu.whenConsumed(0, 32, 0, [&](Tick t) { done = t; });
+    CompletionLog done;
+    pfu.whenConsumed(0, 32, 0, done);
     sim.run();
     // Consumption is gated by the full/empty bits: at the 2-cycle issue
     // pace, the last word arrives around 2*31 + 8, and draining adds a
     // cycle.
-    EXPECT_GE(done, 2 * 31 + 8u);
-    EXPECT_LE(done, 2 * 31 + 8 + 8u);
+    EXPECT_GE(done.last(), 2 * 31 + 8u);
+    EXPECT_LE(done.last(), 2 * 31 + 8 + 8u);
 }
 
 TEST_F(PfuFixture, ConsumptionNeverPrecedesArrival)
 {
     pfu.fire(mem::globalAddr(0), 64, 1, 0);
-    Tick done = 0;
-    pfu.whenConsumed(48, 16, 0, [&](Tick t) { done = t; });
+    CompletionLog done;
+    pfu.whenConsumed(48, 16, 0, done);
     sim.run();
-    EXPECT_GE(done, pfu.wordArrival(63));
+    EXPECT_GE(done.last(), pfu.wordArrival(63));
 }
 
 TEST_F(PfuFixture, PartialConsumptionAnswersEarly)
 {
     pfu.fire(mem::globalAddr(0), 512, 1, 0);
-    Tick first_done = 0;
-    pfu.whenConsumed(0, 8, 0, [&](Tick t) { first_done = t; });
+    CompletionLog first_done;
+    pfu.whenConsumed(0, 8, 0, first_done);
     sim.run();
     // The first 8 words are consumable long before the whole block.
-    EXPECT_LT(first_done, pfu.wordArrival(511));
+    EXPECT_LT(first_done.last(), pfu.wordArrival(511));
 }
 
 TEST_F(PfuFixture, PageCrossingSuspendsIssue)
@@ -185,11 +187,11 @@ TEST_F(PfuFixture, MaskedConsumptionSkipsHoles)
     std::vector<bool> mask(8, true);
     mask[2] = false;
     pfu.fireMasked(mem::globalAddr(0), 8, 1, mask, 0);
-    Tick done = 0;
-    pfu.whenConsumed(0, 8, 0, [&](Tick t) { done = t; });
+    CompletionLog done;
+    pfu.whenConsumed(0, 8, 0, done);
     sim.run();
-    EXPECT_GT(done, 0u);
-    EXPECT_GE(done, pfu.wordArrival(7));
+    EXPECT_GT(done.last(), 0u);
+    EXPECT_GE(done.last(), pfu.wordArrival(7));
 }
 
 TEST_F(PfuFixture, FullyMaskedPrefetchIssuesNothing)
@@ -215,10 +217,10 @@ TEST_F(PfuFixture, BufferReuseAvoidsRefetch)
     std::uint64_t requests = pfu.requestsIssued();
     ASSERT_TRUE(pfu.canReuse(16, 32));
     EXPECT_FALSE(pfu.canReuse(32, 64)); // beyond the block
-    Tick done = 0;
-    pfu.whenConsumed(16, 32, sim.curTick(), [&](Tick t) { done = t; });
+    CompletionLog done;
+    pfu.whenConsumed(16, 32, sim.curTick(), done);
     sim.run();
-    EXPECT_GT(done, 0u);
+    EXPECT_GT(done.last(), 0u);
     EXPECT_EQ(pfu.requestsIssued(), requests); // no new traffic
 }
 

@@ -141,6 +141,7 @@ TEST(EngineProperty, ChainedSchedulingStaysOrderedAndDeterministic)
         Simulation sim;
         std::vector<Tick> trace;
         unsigned budget = 300;
+        std::deque<test::LambdaEvent> events;
         std::function<void()> spawn = [&] {
             trace.push_back(sim.curTick());
             if (budget == 0)
@@ -148,11 +149,12 @@ TEST(EngineProperty, ChainedSchedulingStaysOrderedAndDeterministic)
             unsigned children = 1 + rng.below(2);
             for (unsigned c = 0; c < children && budget > 0; ++c) {
                 --budget;
-                sim.scheduleIn(Cycles(rng.below(20)), spawn,
-                               all_priorities[rng.below(5)]);
+                Cycles delay = rng.below(20);
+                EventPriority prio = all_priorities[rng.below(5)];
+                sim.scheduleIn(events.emplace_back(spawn, prio), delay);
             }
         };
-        sim.schedule(Tick(0), spawn);
+        sim.schedule(events.emplace_back(spawn), 0);
         sim.run();
         return trace;
     };
@@ -168,14 +170,12 @@ TEST(EngineProperty, SameTickPriorityClassesFireLowestFirst)
     // order: the class values must come out ascending regardless.
     Simulation sim;
     std::vector<int> order;
+    std::deque<test::LambdaEvent> events;
     for (auto it = std::rbegin(all_priorities);
          it != std::rend(all_priorities); ++it) {
         EventPriority p = *it;
-        sim.schedule(Tick(5),
-                     [&order, p] {
-                         order.push_back(static_cast<int>(p));
-                     },
-                     p);
+        auto record = [&order, p] { order.push_back(static_cast<int>(p)); };
+        sim.schedule(events.emplace_back(record, p), 5);
     }
     sim.run();
     ASSERT_EQ(order.size(), 5u);

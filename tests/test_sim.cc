@@ -12,16 +12,41 @@
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
+#include "test_events.hh"
 
 using namespace cedar;
+using cedar::test::LambdaEvent;
+
+namespace {
+
+/** Records its id into a shared log when fired. */
+class RecordingEvent : public Event
+{
+  public:
+    RecordingEvent(std::vector<int> &log, int id,
+                   EventPriority prio = EventPriority::normal)
+        : Event(prio), _log(log), _id(id)
+    {
+    }
+
+    void process() override { _log.push_back(_id); }
+    const char *description() const override { return "test.recording"; }
+
+  private:
+    std::vector<int> &_log;
+    int _id;
+};
+
+} // namespace
 
 TEST(Engine, RunsEventsInTimeOrder)
 {
     Simulation sim;
     std::vector<int> order;
-    sim.schedule(30, [&] { order.push_back(3); });
-    sim.schedule(10, [&] { order.push_back(1); });
-    sim.schedule(20, [&] { order.push_back(2); });
+    RecordingEvent third(order, 3), first(order, 1), second(order, 2);
+    sim.schedule(third, 30);
+    sim.schedule(first, 10);
+    sim.schedule(second, 20);
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(sim.curTick(), 30u);
@@ -31,10 +56,11 @@ TEST(Engine, SameTickOrderedByPriorityThenInsertion)
 {
     Simulation sim;
     std::vector<int> order;
-    sim.schedule(5, [&] { order.push_back(2); }, EventPriority::normal);
-    sim.schedule(5, [&] { order.push_back(3); }, EventPriority::normal);
-    sim.schedule(5, [&] { order.push_back(1); },
-                 EventPriority::memory_response);
+    RecordingEvent second(order, 2), third(order, 3);
+    RecordingEvent first(order, 1, EventPriority::memory_response);
+    sim.schedule(second, 5);
+    sim.schedule(third, 5);
+    sim.schedule(first, 5);
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -43,10 +69,12 @@ TEST(Engine, EventsCanScheduleEvents)
 {
     Simulation sim;
     int fired = 0;
-    sim.schedule(1, [&] {
+    LambdaEvent later([&] { ++fired; });
+    LambdaEvent first([&] {
         ++fired;
-        sim.scheduleIn(9, [&] { ++fired; });
+        sim.scheduleIn(later, 9);
     });
+    sim.schedule(first, 1);
     sim.run();
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(sim.curTick(), 10u);
@@ -55,9 +83,10 @@ TEST(Engine, EventsCanScheduleEvents)
 TEST(Engine, SchedulingInThePastPanics)
 {
     Simulation sim;
-    sim.schedule(10, [&] {
-        EXPECT_THROW(sim.schedule(5, [] {}), std::logic_error);
-    });
+    LambdaEvent past([] {});
+    LambdaEvent probe(
+        [&] { EXPECT_THROW(sim.schedule(past, 5), std::logic_error); });
+    sim.schedule(probe, 10);
     sim.run();
 }
 
@@ -65,8 +94,9 @@ TEST(Engine, RunUntilStopsAtHorizonAndResumes)
 {
     Simulation sim;
     int fired = 0;
-    sim.schedule(10, [&] { ++fired; });
-    sim.schedule(100, [&] { ++fired; });
+    LambdaEvent a([&] { ++fired; }), b([&] { ++fired; });
+    sim.schedule(a, 10);
+    sim.schedule(b, 100);
     sim.runUntil(50);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(sim.curTick(), 50u);
@@ -79,11 +109,13 @@ TEST(Engine, StopHaltsTheLoop)
 {
     Simulation sim;
     int fired = 0;
-    sim.schedule(1, [&] {
+    LambdaEvent stopper([&] {
         ++fired;
         sim.stop();
     });
-    sim.schedule(2, [&] { ++fired; });
+    LambdaEvent later([&] { ++fired; });
+    sim.schedule(stopper, 1);
+    sim.schedule(later, 2);
     sim.run();
     EXPECT_EQ(fired, 1);
     sim.run();
@@ -94,8 +126,8 @@ TEST(Engine, EventLimitGuardsRunaways)
 {
     Simulation sim;
     sim.setEventLimit(100);
-    std::function<void()> loop = [&] { sim.scheduleIn(1, loop); };
-    sim.schedule(0, loop);
+    LambdaEvent loop([&] { sim.scheduleIn(loop, 1); });
+    sim.schedule(loop, 0);
     EXPECT_THROW(sim.run(), std::logic_error);
 }
 
@@ -176,28 +208,6 @@ TEST(Rng, UniformInRange)
 }
 
 // ----------------------------------------------------------- event objects
-
-namespace {
-
-/** Records its id into a shared log when fired. */
-class RecordingEvent : public Event
-{
-  public:
-    RecordingEvent(std::vector<int> &log, int id,
-                   EventPriority prio = EventPriority::normal)
-        : Event(prio), _log(log), _id(id)
-    {
-    }
-
-    void process() override { _log.push_back(_id); }
-    const char *description() const override { return "test.recording"; }
-
-  private:
-    std::vector<int> &_log;
-    int _id;
-};
-
-} // namespace
 
 TEST(EventObjects, ScheduleFireAndStateTransitions)
 {
@@ -281,52 +291,6 @@ TEST(EventObjects, SameTickMemberEventsOrderedByPriorityThenSeq)
     sim.run();
     // Priority classes first; equal priorities in insertion order.
     EXPECT_EQ(log, (std::vector<int>{1, 2, 4, 3}));
-}
-
-TEST(EventObjects, MemberAndCallbackEventsShareOneOrder)
-{
-    Simulation sim;
-    std::vector<int> log;
-    RecordingEvent member(log, 2);
-    sim.schedule(10, [&] { log.push_back(1); });
-    sim.schedule(member, 10);
-    sim.schedule(10, [&] { log.push_back(3); });
-    sim.run();
-    EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventObjects, CallbackPoolRecyclesNodes)
-{
-    Simulation sim;
-    int fired = 0;
-    // All scheduled up front, so the pool must grow to 100 nodes; the
-    // schedule after the run then recycles instead of growing.
-    for (Tick t = 1; t <= 100; ++t)
-        sim.schedule(t, [&] { ++fired; });
-    sim.run();
-    EXPECT_EQ(fired, 100);
-    EXPECT_EQ(sim.callbackPoolAllocated(), 100u);
-    sim.schedule(200, [&] { ++fired; });
-    sim.run();
-    EXPECT_EQ(sim.callbackPoolAllocated(), 100u);
-    EXPECT_GE(sim.callbackPoolReuses(), 1u);
-}
-
-TEST(EventObjects, ChainedOneShotsReuseASingleNode)
-{
-    Simulation sim;
-    int hops = 0;
-    std::function<void()> hop = [&] {
-        if (++hops < 50)
-            sim.scheduleIn(1, hop);
-    };
-    sim.schedule(1, hop);
-    sim.run();
-    EXPECT_EQ(hops, 50);
-    // Each hop's node is released before the callback runs, so the
-    // whole chain rides one pooled CallbackEvent.
-    EXPECT_EQ(sim.callbackPoolAllocated(), 1u);
-    EXPECT_EQ(sim.callbackPoolReuses(), 49u);
 }
 
 TEST(EventObjects, MachineStatSnapshotsBitIdenticalAcrossRuns)
