@@ -206,14 +206,6 @@ class ConcurrencyControlBus : public Named
     }
 
     void
-    resetStats()
-    {
-        _starts.reset();
-        _dispatches.reset();
-        _bus.resetStats();
-    }
-
-    void
     saveState(CheckpointWriter &w) const
     {
         auto &sec = w.section(name());

@@ -69,16 +69,6 @@ Cluster::registerStats(StatRegistry &reg)
 }
 
 void
-Cluster::resetStats()
-{
-    for (auto &ce : _ces)
-        ce->resetStats();
-    _cache->resetStats();
-    _cmem->resetStats();
-    _ccb->resetStats();
-}
-
-void
 Cluster::saveState(CheckpointWriter &w) const
 {
     auto &sec = w.section(name());

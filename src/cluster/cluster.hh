@@ -75,8 +75,6 @@ class Cluster : public Named, public BarrierProvider
     /** Register the cluster's statistics (cache, bus, CEs). */
     void registerStats(StatRegistry &reg);
 
-    void resetStats();
-
     /**
      * Everything under the cluster: cache, cluster memory, bus, CEs
      * (and their PFUs), plus the barrier table (id -> participants; a

@@ -53,8 +53,6 @@ class ClusterMemory : public Named
     FluidResource &bandwidth() { return _bandwidth; }
     const FluidResource &bandwidth() const { return _bandwidth; }
 
-    void resetStats() { _bandwidth.resetStats(); }
-
     void
     saveState(CheckpointWriter &w) const
     {

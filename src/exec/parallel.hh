@@ -1,28 +1,39 @@
 /**
  * @file
- * Deterministic fan-out/merge on top of RunPool.
+ * Deterministic fan-out/merge of independent simulation runs.
  *
  * parallelMap() is the one primitive sweeps are written against: hand
  * it the parameter points as tasks, get the results back *in
  * submission order* regardless of completion order. With jobs <= 1 it
  * never touches a thread — the tasks run inline, in order, in the
  * calling thread — so `--jobs 1` is not "a pool with one worker" but
- * literally the serial path, and the byte-identity of `--jobs 1`
- * versus `--jobs 8` output reduces to the RunContext ownership rules
- * (runcontext.hh) plus this module's index-ordered merge.
+ * literally the serial path. Otherwise the threads self-schedule the
+ * way Cedar's XDOALL does: each claims the next task index from one
+ * shared counter. Byte-identity of `--jobs 1` versus `--jobs 8` output
+ * then reduces to each task constructing its own world (DESIGN.md §10)
+ * plus the index-ordered result slots.
  */
 
 #ifndef CEDARSIM_EXEC_PARALLEL_HH
 #define CEDARSIM_EXEC_PARALLEL_HH
 
-#include <algorithm>
+#include <cstddef>
 #include <functional>
-#include <utility>
 #include <vector>
 
-#include "exec/runpool.hh"
-
 namespace cedar::exec {
+
+/**
+ * Call @p task(i) once for every i in [0, n). With jobs <= 1 (or one
+ * task) this is a plain loop and the first exception propagates at
+ * once. Otherwise min(jobs, n) threads, the calling thread included,
+ * claim indices in ascending order from one atomic counter. Once a
+ * task throws, tasks not yet claimed are skipped and running ones
+ * finish; after the join the exception of the lowest-index task that
+ * threw is rethrown.
+ */
+void forEachIndex(unsigned jobs, std::size_t n,
+                  const std::function<void(std::size_t)> &task);
 
 /**
  * Run every task (each an independent parameter point) and return
@@ -30,65 +41,19 @@ namespace cedar::exec {
  *
  * @tparam T result type; default-constructible, one slot per task
  *           (avoid std::vector<bool>-style proxy containers)
- * @param jobs        worker threads; <= 1 executes inline serially
- * @param tasks       independent runs; each must obey the RunContext
- *                    ownership rules (no shared mutable state)
- * @param master_seed seed the per-run seeds derive from
- * @throws whatever the failed run with the lowest submission index
- *         threw, after cancelling the rest of the sweep
+ * @param jobs  threads; <= 1 executes inline serially
+ * @param tasks independent runs; each builds its own machine and
+ *              shares no mutable state with the others
+ * @throws whatever the lowest-index failing task threw
  */
 template <typename T>
 std::vector<T>
-parallelMap(unsigned jobs,
-            std::vector<std::function<T(RunContext &)>> tasks,
-            std::uint64_t master_seed = default_master_seed)
+parallelMap(unsigned jobs, std::vector<std::function<T()>> tasks)
 {
     std::vector<T> results(tasks.size());
-    if (jobs <= 1 || tasks.size() <= 1) {
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-            RunContext ctx;
-            ctx.index = i;
-            ctx.seed = deriveSeed(master_seed, i);
-            results[i] = tasks[i](ctx);
-        }
-        return results;
-    }
-
-    RunPool pool(unsigned(std::min<std::size_t>(jobs, tasks.size())), 0,
-                 master_seed);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        pool.submit([&results, &tasks, i](RunContext &ctx) {
-            // Each run writes only its own slot; the merge is the
-            // index ordering of `results` itself.
-            results[i] = tasks[i](ctx);
-        });
-    }
-    pool.wait();
-    pool.rethrowFirstError();
+    forEachIndex(jobs, tasks.size(),
+                 [&](std::size_t i) { results[i] = tasks[i](); });
     return results;
-}
-
-/** Void-returning convenience: run independent actions, fail on the
- *  lowest-index error, no result merge. */
-inline void
-parallelForEach(unsigned jobs,
-                std::vector<std::function<void(RunContext &)>> tasks,
-                std::uint64_t master_seed = default_master_seed)
-{
-    parallelMap<char>(
-        jobs,
-        [&] {
-            std::vector<std::function<char(RunContext &)>> wrapped;
-            wrapped.reserve(tasks.size());
-            for (auto &t : tasks) {
-                wrapped.push_back([&t](RunContext &ctx) -> char {
-                    t(ctx);
-                    return 0;
-                });
-            }
-            return wrapped;
-        }(),
-        master_seed);
 }
 
 } // namespace cedar::exec

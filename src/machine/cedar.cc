@@ -224,15 +224,6 @@ CedarMachine::totalFlops() const
     return total;
 }
 
-void
-CedarMachine::resetStats()
-{
-    _gm->resetStats();
-    for (auto &c : _clusters)
-        c->resetStats();
-    _runtime.reset();
-}
-
 std::string
 CedarMachine::saveCheckpoint() const
 {

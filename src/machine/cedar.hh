@@ -42,19 +42,6 @@ struct RuntimeStats
     Counter lock_retries;
     /** CEs that dropped out of a self-scheduled loop mid-run. */
     Counter dropped_ces;
-
-    void
-    reset()
-    {
-        cdoall_starts.reset();
-        xdoall_starts.reset();
-        sdoall_starts.reset();
-        sdoall_dispatches.reset();
-        iterations.reset();
-        sync_retries.reset();
-        lock_retries.reset();
-        dropped_ces.reset();
-    }
 };
 
 /** A complete Cedar system plus its private simulation engine. */
@@ -112,8 +99,6 @@ class CedarMachine : public Named
         Tick elapsed = _sim.curTick() - window_start;
         return mflops(flops, elapsed);
     }
-
-    void resetStats();
 
     /** The machine-wide stat registry (populated at construction). */
     StatRegistry &stats() { return _stats; }

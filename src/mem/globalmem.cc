@@ -206,21 +206,6 @@ GlobalMemory::registerStats(StatRegistry &reg)
 }
 
 void
-GlobalMemory::resetStats()
-{
-    _forward->resetStats();
-    if (_reverse)
-        _reverse->resetStats();
-    for (auto &m : _modules)
-        m->resetStats();
-    _spare->resetStats();
-    _reads.reset();
-    _writes.reset();
-    _syncs.reset();
-    _read_latency.reset();
-}
-
-void
 GlobalMemory::saveState(CheckpointWriter &w) const
 {
     auto &sec = w.section(name());

@@ -169,8 +169,6 @@ class GlobalMemory : public Named, public Checkpointable
     /** Register memory-system statistics (networks and modules too). */
     void registerStats(StatRegistry &reg);
 
-    void resetStats();
-
     /**
      * Own counters plus both networks and every module (spare
      * included). Restores the failed-module index directly — the

@@ -158,16 +158,6 @@ class MemoryModule : public Named, public Checkpointable
     }
 
     void
-    resetStats()
-    {
-        _accesses.reset();
-        _sync_ops.reset();
-        _ecc_corrected.reset();
-        _ecc_retried.reset();
-        _wait.reset();
-    }
-
-    void
     saveState(CheckpointWriter &w) const override
     {
         auto &sec = w.section(name());

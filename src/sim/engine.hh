@@ -279,7 +279,7 @@ class Simulation
 
     /** Host-time accounting, per engine and process-wide. The
      *  process-wide totals are atomic because engines on concurrent
-     *  RunPool workers all add to them; they are reporting aggregates
+     *  sweep threads all add to them; they are reporting aggregates
      *  only and never feed back into simulated behaviour. */
     std::uint64_t _host_ns = 0;
     static std::atomic<std::uint64_t> s_global_events;

@@ -12,7 +12,7 @@ namespace cedar {
 
 namespace {
 
-/** Per-thread: concurrent RunPool workers each drive their own
+/** Per-thread: concurrent sweep threads each drive their own
  *  Simulation, and an error raised on one must be stamped with that
  *  run's simulated time, not a sibling's. */
 thread_local Tick current_tick = 0;

@@ -14,7 +14,7 @@
 namespace cedar {
 
 namespace {
-// Atomic so a warn() on a RunPool worker may read it while the
+// Atomic so a warn() on a sweep thread may read it while the
 // driver thread is (atypically) still configuring; quiet mode is
 // process-wide policy, not per-run state.
 std::atomic<bool> quiet_mode{false};

@@ -40,8 +40,8 @@ splitmix64(std::uint64_t z)
  * Derive stream @p index from @p master. Pure function of its
  * arguments: stream 5 is the same whether it is derived first, last,
  * or concurrently, and neighbouring indices get statistically
- * independent streams. The sweep executor's per-run seeds and any
- * component wanting a private lane off a master seed both use this.
+ * independent streams. Traffic rounds and any component wanting a
+ * private lane off a master seed use this.
  */
 constexpr std::uint64_t
 deriveSeed(std::uint64_t master, std::uint64_t index)

@@ -38,9 +38,6 @@ globMatch(const std::string &pattern, const std::string &text)
     return p == pattern.size();
 }
 
-namespace {
-
-/** Render a finite double compactly; integers print without a point. */
 std::string
 jsonNumber(double v)
 {
@@ -56,7 +53,6 @@ jsonNumber(double v)
     return buf;
 }
 
-/** Escape a string for a JSON key (names are plain identifiers). */
 std::string
 jsonEscape(const std::string &s)
 {
@@ -69,6 +65,8 @@ jsonEscape(const std::string &s)
     }
     return out;
 }
+
+namespace {
 
 /** Dotted-name segments. */
 std::vector<std::string>
@@ -127,16 +125,6 @@ StatRegistry::addSample(const std::string &name, SampleStat &s)
     e.name = name;
     e.kind = Kind::sample;
     e.sample = &s;
-    add(std::move(e));
-}
-
-void
-StatRegistry::addHistogram(const std::string &name, Histogram &h)
-{
-    Entry e;
-    e.name = name;
-    e.kind = Kind::histogram;
-    e.histogram = &h;
     add(std::move(e));
 }
 
@@ -271,13 +259,6 @@ StatRegistry::snapshot(const std::string &pattern) const
           case Kind::sample:
             expand(name, *entry.sample);
             break;
-          case Kind::histogram:
-            expand(name, entry.histogram->summary());
-            out[name + ".overflow"] =
-                static_cast<double>(entry.histogram->overflow());
-            out[name + ".underflow"] =
-                static_cast<double>(entry.histogram->underflow());
-            break;
         }
     }
     return out;
@@ -290,7 +271,6 @@ StatRegistry::resetAll()
         switch (entry.kind) {
           case Kind::counter: entry.counter->reset(); break;
           case Kind::sample: entry.sample->reset(); break;
-          case Kind::histogram: entry.histogram->reset(); break;
           case Kind::scalar: break; // derived, nothing to reset
         }
     }
@@ -363,22 +343,6 @@ StatRegistry::dumpJson() const
           case Kind::sample:
             appendSummary(os, *entry.sample);
             break;
-          case Kind::histogram: {
-            const Histogram &h = *entry.histogram;
-            os << "{\"summary\": ";
-            appendSummary(os, h.summary());
-            os << ", \"bucket_width\": " << jsonNumber(h.bucketWidth())
-               << ", \"overflow\": " << h.overflow()
-               << ", \"underflow\": " << h.underflow()
-               << ", \"buckets\": [";
-            for (std::size_t i = 0; i < h.numBuckets(); ++i) {
-                if (i)
-                    os << ", ";
-                os << h.bucket(i);
-            }
-            os << "]}";
-            break;
-          }
         }
     }
     while (!scope.empty()) {

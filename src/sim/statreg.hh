@@ -2,8 +2,8 @@
  * @file
  * Machine-wide statistics registry in the gem5 tradition.
  *
- * Components register their Counter / SampleStat / Histogram members
- * (and derived scalar callbacks) under hierarchical dotted names such
+ * Components register their Counter / SampleStat members (and
+ * derived scalar callbacks) under hierarchical dotted names such
  * as "cedar.cluster0.cache.misses". The registry then offers uniform
  * snapshot, reset, text-dump, and JSON-dump views of the whole
  * machine, so reports never hand-walk the component tree.
@@ -28,6 +28,14 @@ namespace cedar {
  */
 bool globMatch(const std::string &pattern, const std::string &text);
 
+/** Render a double compactly for JSON (%.10g): integers print without
+ *  a point, non-finite values as 0. */
+std::string jsonNumber(double v);
+
+/** Escape '"' and '\\' for a JSON string (stat names and component
+ *  names are plain identifiers). */
+std::string jsonEscape(const std::string &s);
+
 /** Registry of named statistics owned by simulator components. */
 class StatRegistry
 {
@@ -37,7 +45,6 @@ class StatRegistry
     {
         counter,
         sample,
-        histogram,
         scalar,
     };
 
@@ -48,7 +55,6 @@ class StatRegistry
         Kind kind;
         Counter *counter = nullptr;
         SampleStat *sample = nullptr;
-        Histogram *histogram = nullptr;
         std::function<double()> scalar;
     };
 
@@ -57,9 +63,6 @@ class StatRegistry
 
     /** Register a streaming sample statistic. */
     void addSample(const std::string &name, SampleStat &s);
-
-    /** Register a bucketed histogram. */
-    void addHistogram(const std::string &name, Histogram &h);
 
     /** Register a derived read-only scalar (not affected by reset). */
     void addScalar(const std::string &name, std::function<double()> fn);
@@ -99,9 +102,8 @@ class StatRegistry
 
     /**
      * Flattened snapshot of every statistic as name -> value. Samples
-     * and histograms expand to dotted leaves (".count", ".mean",
-     * ".min", ".max", ".stddev", ".sum"; histograms additionally
-     * ".overflow" and ".underflow").
+     * expand to dotted leaves (".count", ".mean", ".min", ".max",
+     * ".stddev", ".sum").
      */
     std::map<std::string, double> snapshot() const;
 
@@ -111,7 +113,7 @@ class StatRegistry
      */
     std::map<std::string, double> snapshot(const std::string &pattern) const;
 
-    /** Reset every registered counter, sample, and histogram. */
+    /** Reset every registered counter and sample. */
     void resetAll();
 
     /** One "name value" line per snapshot leaf. */
@@ -120,8 +122,7 @@ class StatRegistry
     /**
      * The full registry as a hierarchical JSON object: dotted name
      * segments become nested objects, counters and scalars become
-     * numbers, samples and histograms become summary objects
-     * (histograms include their bucket array).
+     * numbers, samples become summary objects.
      */
     std::string dumpJson() const;
 

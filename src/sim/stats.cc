@@ -1,32 +1,11 @@
 /**
  * @file
- * Implementation of histogram percentiles and mean helpers.
+ * Implementation of the mean helpers.
  */
 
 #include "stats.hh"
 
 namespace cedar {
-
-double
-Histogram::percentile(double p) const
-{
-    sim_assert(p >= 0.0 && p <= 1.0, "percentile must be in [0,1]");
-    std::uint64_t total = _underflow + _overflow;
-    for (auto b : _buckets)
-        total += b;
-    if (total == 0)
-        return 0.0;
-    auto target = static_cast<std::uint64_t>(p * static_cast<double>(total));
-    std::uint64_t seen = _underflow;
-    if (seen > target)
-        return 0.0;
-    for (std::size_t i = 0; i < _buckets.size(); ++i) {
-        seen += _buckets[i];
-        if (seen > target)
-            return (static_cast<double>(i) + 0.5) * _width;
-    }
-    return static_cast<double>(_buckets.size()) * _width;
-}
 
 double
 harmonicMean(const std::vector<double> &rates)

@@ -118,69 +118,6 @@ class SampleStat
     double _max = -std::numeric_limits<double>::infinity();
 };
 
-/**
- * Fixed-width-bucket histogram mirroring the Cedar histogrammers
- * (64K 32-bit counters in hardware; here the bucket count is a
- * constructor parameter). Samples beyond the last bucket accumulate
- * in an overflow counter.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param num_buckets number of equal-width buckets
-     * @param bucket_width width of each bucket in sample units
-     */
-    explicit Histogram(std::size_t num_buckets = 64,
-                       double bucket_width = 1.0)
-        : _buckets(num_buckets, 0), _width(bucket_width)
-    {
-        sim_assert(num_buckets > 0, "histogram needs at least one bucket");
-        sim_assert(bucket_width > 0.0, "bucket width must be positive");
-    }
-
-    void
-    sample(double v)
-    {
-        _summary.sample(v);
-        if (v < 0) {
-            ++_underflow;
-            return;
-        }
-        auto idx = static_cast<std::size_t>(v / _width);
-        if (idx >= _buckets.size())
-            ++_overflow;
-        else
-            ++_buckets[idx];
-    }
-
-    std::size_t numBuckets() const { return _buckets.size(); }
-    double bucketWidth() const { return _width; }
-    std::uint64_t bucket(std::size_t i) const { return _buckets.at(i); }
-    std::uint64_t overflow() const { return _overflow; }
-    std::uint64_t underflow() const { return _underflow; }
-    const SampleStat &summary() const { return _summary; }
-
-    /** Sample value below which the given fraction of samples fall. */
-    double percentile(double p) const;
-
-    void
-    reset()
-    {
-        std::fill(_buckets.begin(), _buckets.end(), 0);
-        _overflow = 0;
-        _underflow = 0;
-        _summary.reset();
-    }
-
-  private:
-    std::vector<std::uint64_t> _buckets;
-    double _width;
-    std::uint64_t _overflow = 0;
-    std::uint64_t _underflow = 0;
-    SampleStat _summary;
-};
-
 /** Harmonic mean of a set of positive rates (paper's suite aggregate). */
 double harmonicMean(const std::vector<double> &rates);
 

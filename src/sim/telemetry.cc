@@ -19,36 +19,6 @@ namespace cedar {
 
 namespace {
 
-/** Render a finite double compactly; integers print without a point. */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-        return buf;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    return buf;
-}
-
-/** Escape a string for a JSON key or value. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 /**
  * Host-clock registry entries (cedar.sim.host_seconds and friends) are
  * the only nondeterministic statistics; records must never carry them.

@@ -21,7 +21,7 @@ constexpr const char *flag_names[num_flags] = {
 std::ostream *output = nullptr; // nullptr means stderr
 
 /** The sink is shared by every simulation in the process; when traced
- *  runs execute on RunPool workers, whole lines must not interleave
+ *  runs execute on sweep threads, whole lines must not interleave
  *  mid-stream. Flag/sink *configuration* is still serial-phase-only
  *  (see DESIGN.md §10). */
 std::mutex print_mu;

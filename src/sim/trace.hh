@@ -19,10 +19,10 @@
 #define CEDARSIM_SIM_TRACE_HH
 
 #include <iosfwd>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace cedar::trace {
@@ -81,16 +81,6 @@ void setOutput(std::ostream *os);
 /** Emit one formatted trace line (called by the DPRINTF macros). */
 void print(Tick when, const std::string &who, const std::string &msg);
 
-/** Fold a pack of streamable values into the message string. */
-template <typename... Args>
-std::string
-format(Args &&...args)
-{
-    std::ostringstream os;
-    (os << ... << std::forward<Args>(args));
-    return os.str();
-}
-
 } // namespace cedar::trace
 
 /**
@@ -100,8 +90,9 @@ format(Args &&...args)
 #define DPRINTF(flag, when, ...)                                           \
     do {                                                                   \
         if (::cedar::trace::enabled(::cedar::trace::Flag::flag)) {         \
-            ::cedar::trace::print((when), name(),                          \
-                                  ::cedar::trace::format(__VA_ARGS__));    \
+            ::cedar::trace::print(                                         \
+                (when), name(),                                            \
+                ::cedar::logging_detail::format(__VA_ARGS__));             \
         }                                                                  \
     } while (0)
 
@@ -109,8 +100,9 @@ format(Args &&...args)
 #define DPRINTFN(flag, when, who, ...)                                     \
     do {                                                                   \
         if (::cedar::trace::enabled(::cedar::trace::Flag::flag)) {         \
-            ::cedar::trace::print((when), (who),                           \
-                                  ::cedar::trace::format(__VA_ARGS__));    \
+            ::cedar::trace::print(                                         \
+                (when), (who),                                             \
+                ::cedar::logging_detail::format(__VA_ARGS__));             \
         }                                                                  \
     } while (0)
 

@@ -264,11 +264,10 @@ runValidation(const ValidationOptions &opts)
     const unsigned jobs = opts.verbose ? 1 : std::max(1u, opts.jobs);
     const unsigned point_jobs = std::max(1u, opts.point_jobs);
 
-    std::vector<std::function<ScenarioOutcome(exec::RunContext &)>> tasks;
+    std::vector<std::function<ScenarioOutcome()>> tasks;
     tasks.reserve(chosen.size());
     for (const Scenario *s : chosen) {
-        tasks.push_back([s, &opts, &golden_dir,
-                         point_jobs](exec::RunContext &) {
+        tasks.push_back([s, &opts, &golden_dir, point_jobs] {
             // Everything the run touches — machines, simulations, stat
             // registries — is constructed inside this task; the only
             // things crossing the boundary are the immutable options

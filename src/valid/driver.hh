@@ -2,12 +2,13 @@
  * @file
  * The validation driver: the library form of `cedar_validate`.
  *
- * runValidation() selects scenarios, runs them (optionally on a
- * RunPool with `jobs` workers), golden-checks each one, and returns a
- * ValidationReport whose rendered forms — logText() and jsonReport()
- * — are assembled from outcomes held in *submission order*. Runs may
- * finish out of order across workers, but the report is byte-for-byte
- * identical for any worker count; tests/test_exec.cc enforces this.
+ * runValidation() selects scenarios, runs them (optionally on `jobs`
+ * threads through exec::parallelMap), golden-checks each one, and
+ * returns a ValidationReport whose rendered forms — logText() and
+ * jsonReport() — are assembled from outcomes held in *submission
+ * order*. Runs may finish out of order across threads, but the report
+ * is byte-for-byte identical for any thread count; tests/test_exec.cc
+ * enforces this.
  */
 
 #ifndef CEDARSIM_VALID_DRIVER_HH
@@ -35,13 +36,15 @@ struct ValidationOptions
     bool fast_only = false;
     /**
      * Scenario-level parallelism: how many scenarios run concurrently
-     * on the RunPool. <= 1 takes the literal inline serial path.
+     * through exec::parallelMap. <= 1 takes the literal inline serial
+     * path.
      */
     unsigned jobs = 1;
     /**
      * Point-level parallelism handed to each scenario for its internal
      * sweep (ScenarioOptions::jobs). Keep 1 when jobs > 1 — nesting
-     * pools multiplies threads without adding runnable work.
+     * parallelMap calls multiplies threads without adding runnable
+     * work.
      */
     unsigned point_jobs = 1;
     /** Golden directory override; empty means goldenDir(). */
@@ -131,13 +134,13 @@ struct ValidationReport
 /**
  * Run the selected scenarios and golden-check them.
  *
- * With opts.jobs > 1 the scenarios execute on a RunPool; each run
- * constructs its own machines, simulations, and stat registries inside
- * the task (per-run isolation, DESIGN.md §10), and outcomes are merged
- * back by submission index. Unless opts.verbose, stdout is silenced
- * for the whole pass — scenario table printing from concurrent workers
- * would interleave. Golden files are written (update mode) from the
- * serial reduce phase, never from workers.
+ * With opts.jobs > 1 the scenarios execute on parallelMap threads;
+ * each run constructs its own machines, simulations, and stat
+ * registries inside the task (per-run isolation, DESIGN.md §10), and
+ * outcomes are merged back by submission index. Unless opts.verbose,
+ * stdout is silenced for the whole pass — scenario table printing from
+ * concurrent threads would interleave. Golden files are written
+ * (update mode) from the serial reduce phase, never from threads.
  */
 ValidationReport runValidation(const ValidationOptions &opts);
 

@@ -101,7 +101,7 @@ struct ScenarioOptions
      * Applied to every machine configuration the scenario builds —
      * the injected-regression hook `cedar_validate --perturb` uses to
      * prove the suite catches model changes. Sweep scenarios apply it
-     * from RunPool workers, so the hook must be re-entrant (pure
+     * from parallelMap threads, so the hook must be re-entrant (pure
      * function of the config it is handed; no mutable captures).
      */
     std::function<void(machine::CedarConfig &)> config_hook;

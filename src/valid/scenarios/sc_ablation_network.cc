@@ -47,12 +47,10 @@ runAblationNetwork(ScenarioContext &ctx)
     // All fourteen ablation points are independent machine runs; fan
     // them out, then print tables and emit cells from the merged
     // results in the original order (byte-identical for any jobs).
-    std::vector<std::function<double(exec::RunContext &)>> tasks;
+    std::vector<std::function<double()>> tasks;
     auto point = [&tasks](std::function<double()> fn) {
-        std::size_t index = tasks.size();
-        tasks.push_back(
-            [fn = std::move(fn)](exec::RunContext &) { return fn(); });
-        return index;
+        tasks.push_back(std::move(fn));
+        return tasks.size() - 1;
     };
 
     std::size_t conflict_at[4], modules_at[3], pacing_at[4] = {},

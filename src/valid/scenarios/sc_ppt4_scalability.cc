@@ -62,10 +62,10 @@ runPpt4(ScenarioContext &ctx)
             if (n % (p * 32) == 0)
                 grid.push_back({n, p});
 
-    std::vector<std::function<CgRun(exec::RunContext &)>> tasks;
+    std::vector<std::function<CgRun()>> tasks;
     tasks.reserve(grid.size());
     for (const CgPoint pt : grid) {
-        tasks.push_back([&ctx, pt](exec::RunContext &) {
+        tasks.push_back([&ctx, pt] {
             machine::CedarMachine machine(ctx.config());
             ctx.observe(machine, "cg n=" + std::to_string(pt.n) +
                                      " p=" + std::to_string(pt.p));
@@ -143,10 +143,10 @@ runPpt4(ScenarioContext &ctx)
     std::printf("\nCedar banded matrix-vector (extension, same "
                 "computation as the CM-5 rows):\n");
     core::TableWriter banded_table({"BW", "N", "32-CE MFLOPS"});
-    std::vector<std::function<double(exec::RunContext &)>> banded_tasks;
+    std::vector<std::function<double()>> banded_tasks;
     for (unsigned bw : {3u, 11u}) {
         for (unsigned n : {16384u, 65536u, 262144u}) {
-            banded_tasks.push_back([&ctx, bw, n](exec::RunContext &) {
+            banded_tasks.push_back([&ctx, bw, n] {
                 machine::CedarMachine machine(ctx.config());
                 ctx.observe(machine, "banded bw=" + std::to_string(bw) +
                                          " n=" + std::to_string(n));

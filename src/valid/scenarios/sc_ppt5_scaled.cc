@@ -57,8 +57,7 @@ runPpt5(ScenarioContext &ctx)
     const unsigned shapes[3] = {4u, 8u, 16u};
     auto rank64Task = [&ctx](unsigned clusters,
                              kernels::Rank64Version version) {
-        return [&ctx, clusters,
-                version](exec::RunContext &) -> double {
+        return [&ctx, clusters, version]() -> double {
             auto cfg = scaledConfig(ctx, clusters);
             machine::CedarMachine machine(cfg);
             ctx.observe(machine,
@@ -70,7 +69,7 @@ runPpt5(ScenarioContext &ctx)
             return kernels::runRank64(machine, params).mflopsRate();
         };
     };
-    std::vector<std::function<double(exec::RunContext &)>> tasks;
+    std::vector<std::function<double()>> tasks;
     for (unsigned clusters : shapes) {
         // Rank-64 with prefetch: stresses the shared global memory.
         tasks.push_back(
@@ -84,9 +83,9 @@ runPpt5(ScenarioContext &ctx)
     {
         double rate = 0.0, speedup = 0.0;
     };
-    std::vector<std::function<CgRun(exec::RunContext &)>> cg_tasks;
+    std::vector<std::function<CgRun()>> cg_tasks;
     for (unsigned clusters : shapes) {
-        cg_tasks.push_back([&ctx, clusters](exec::RunContext &) {
+        cg_tasks.push_back([&ctx, clusters] {
             auto cfg = scaledConfig(ctx, clusters);
             unsigned ces = cfg.numCes();
             machine::CedarMachine machine(cfg);

@@ -58,13 +58,13 @@ runScaledParallelism(ScenarioContext &ctx)
     const double nan = std::numeric_limits<double>::quiet_NaN();
 
     // One serial anchor plus 4 scales x 3 sizes, all independent runs.
-    std::vector<std::function<double(exec::RunContext &)>> tasks;
-    tasks.push_back([&ctx](exec::RunContext &) {
+    std::vector<std::function<double()>> tasks;
+    tasks.push_back([&ctx] {
         return bandedRate(ctx, 0, 1, 4096);
     });
     for (unsigned clusters : scales) {
         for (unsigned rpc : rows_per_ce) {
-            tasks.push_back([&ctx, clusters, rpc](exec::RunContext &) {
+            tasks.push_back([&ctx, clusters, rpc] {
                 unsigned ces = clusters * 8;
                 return bandedRate(ctx, clusters, ces, ces * rpc);
             });

@@ -54,11 +54,10 @@ runTable1(ScenarioContext &ctx)
     // task builds its own machine and returns one rate. The printed
     // table and the cells below read `measured` in a fixed order, so
     // output is byte-identical for any ctx.jobs().
-    std::vector<std::function<double(exec::RunContext &)>> tasks;
+    std::vector<std::function<double()>> tasks;
     for (int v = 0; v < 3; ++v) {
         for (unsigned cl = 1; cl <= 4; ++cl) {
-            tasks.push_back([&ctx, n, cl, ver =
-                                              versions[v]](exec::RunContext &) {
+            tasks.push_back([&ctx, n, cl, ver = versions[v]] {
                 machine::CedarMachine machine(ctx.config());
                 ctx.observe(machine, "rank64 n=" + std::to_string(n) +
                                          " clusters=" + std::to_string(cl));

@@ -91,16 +91,14 @@ runTrafficMatrix(ScenarioContext &ctx)
         net::TrafficPattern pattern;
     };
     std::vector<PointKey> keys;
-    std::vector<std::function<TrafficPoint(exec::RunContext &)>> tasks;
+    std::vector<std::function<TrafficPoint()>> tasks;
     for (unsigned clusters : scales) {
         for (const auto &fabric : fabric_variants) {
             for (net::TrafficPattern pattern : patterns) {
                 keys.push_back({clusters, &fabric, pattern});
-                tasks.push_back(
-                    [&ctx, clusters, &fabric,
-                     pattern](exec::RunContext &) {
-                        return runPoint(ctx, clusters, fabric, pattern);
-                    });
+                tasks.push_back([&ctx, clusters, &fabric, pattern] {
+                    return runPoint(ctx, clusters, fabric, pattern);
+                });
             }
         }
     }

@@ -95,11 +95,11 @@ runTrafficScale256(ScenarioContext &ctx)
         net::TrafficPattern pattern;
     };
     std::vector<PointKey> keys;
-    std::vector<std::function<TrafficPoint(exec::RunContext &)>> tasks;
+    std::vector<std::function<TrafficPoint()>> tasks;
     for (const auto &fabric : fabric_variants) {
         for (net::TrafficPattern pattern : patterns) {
             keys.push_back({&fabric, pattern});
-            tasks.push_back([&ctx, &fabric, pattern](exec::RunContext &) {
+            tasks.push_back([&ctx, &fabric, pattern] {
                 return runPoint(ctx, fabric, pattern);
             });
         }

@@ -4,9 +4,11 @@
  *
  * A thin CLI over valid::runValidation(): parses options, hands them
  * to the driver, prints the report. `--jobs N` runs scenarios
- * concurrently on a RunPool; the report is assembled in submission
- * order, so its bytes are identical for every N (tests/test_exec.cc
- * holds this to `--jobs 1` vs `--jobs 8`). `--update-golden`
+ * concurrently through exec::parallelMap; the report is assembled in
+ * submission order, so its bytes are identical for every N
+ * (tests/test_exec.cc holds this to `--jobs 1` vs `--jobs 8`).
+ * `--point-jobs N` instead parallelizes the points inside each
+ * scenario's sweep, the right knob for the long sweeps. `--update-golden`
  * refreezes the golden files from the current build; `--perturb
  * key=value` injects a machine-model change to prove the suite
  * catches regressions.
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "core/cedar.hh"
-#include "exec/runpool.hh"
 #include "valid/driver.hh"
 #include "valid/golden.hh"
 #include "valid/json.hh"

@@ -1,50 +1,33 @@
 /**
  * @file
- * Tests for the parallel sweep executor: RunPool scheduling and error
- * semantics, per-run seed isolation, and the headline property — the
- * validation report is byte-identical for `--jobs {1,2,8}` across
- * repeated runs.
+ * Tests for the parallel sweep executor: parallelMap's merge order and
+ * error semantics, and the headline property — the validation report
+ * is byte-identical for `--jobs {1,2,8}` across repeated runs.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/parallel.hh"
-#include "exec/runpool.hh"
 #include "sim/error.hh"
-#include "sim/random.hh"
 #include "valid/driver.hh"
 #include "valid/scenario.hh"
 
 namespace cedar::exec {
 namespace {
 
-TEST(DeriveSeed, PureUniqueAndMasterDependent)
-{
-    std::set<std::uint64_t> seen;
-    for (std::size_t i = 0; i < 1000; ++i) {
-        std::uint64_t s = deriveSeed(default_master_seed, i);
-        EXPECT_EQ(s, deriveSeed(default_master_seed, i));
-        EXPECT_TRUE(seen.insert(s).second)
-            << "seed collision at index " << i;
-    }
-    EXPECT_NE(deriveSeed(1, 0), deriveSeed(2, 0));
-}
-
-TEST(RunPool, ResultsMergeInSubmissionOrder)
+TEST(ParallelMap, ResultsMergeInSubmissionOrder)
 {
     const std::size_t n = 64;
-    std::vector<std::function<std::uint64_t(RunContext &)>> tasks;
+    std::vector<std::function<std::uint64_t()>> tasks;
     for (std::size_t i = 0; i < n; ++i) {
-        tasks.push_back([i](RunContext &) -> std::uint64_t {
+        tasks.push_back([i]() -> std::uint64_t {
             // Stagger completion so late submissions often finish
             // first; the merge must not care.
             std::this_thread::sleep_for(
@@ -58,121 +41,73 @@ TEST(RunPool, ResultsMergeInSubmissionOrder)
         EXPECT_EQ(out[i], i * i + 7);
 }
 
-TEST(RunPool, SeedDependsOnlyOnIndexNotOnWorker)
+TEST(ParallelMap, FirstHardErrorCancelsAndRethrows)
 {
-    // Run the same 48 tasks serially and on 8 workers; every run must
-    // observe exactly deriveSeed(master, index) either way — i.e. the
-    // seed a run gets can not leak from whichever run a worker
-    // executed before it.
-    const std::uint64_t master = 0x1234abcdULL;
-    const std::size_t n = 48;
-    auto make_tasks = [&] {
-        std::vector<std::function<std::uint64_t(RunContext &)>> tasks;
-        for (std::size_t i = 0; i < n; ++i) {
-            tasks.push_back([i](RunContext &ctx) {
-                EXPECT_EQ(ctx.index, i);
-                // Draw from the run's own generator: identical
-                // streams serial vs parallel.
-                Rng rng(ctx.seed);
-                std::uint64_t acc = 0;
-                for (int k = 0; k < 100; ++k)
-                    acc ^= rng.next();
-                return acc;
-            });
-        }
-        return tasks;
-    };
-    auto serial = parallelMap<std::uint64_t>(1, make_tasks(), master);
-    auto parallel = parallelMap<std::uint64_t>(8, make_tasks(), master);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(serial[i], parallel[i]) << "run " << i;
-        EXPECT_EQ(serial[i],
-                  [&] {
-                      Rng rng(deriveSeed(master, i));
-                      std::uint64_t acc = 0;
-                      for (int k = 0; k < 100; ++k)
-                          acc ^= rng.next();
-                      return acc;
-                  }())
-            << "run " << i;
-    }
-}
-
-TEST(RunPool, BoundedQueueStillCompletesEverything)
-{
-    RunPool pool(2, /*queue_bound=*/2);
-    std::atomic<unsigned> done{0};
-    for (int i = 0; i < 32; ++i) {
-        pool.submit([&done](RunContext &) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            done.fetch_add(1, std::memory_order_relaxed);
-        });
-    }
-    pool.wait();
-    EXPECT_EQ(done.load(), 32u);
-    EXPECT_EQ(pool.firstError(), nullptr);
-    EXPECT_FALSE(pool.cancelled());
-}
-
-TEST(RunPool, FirstHardErrorCancelsAndRethrows)
-{
-    RunPool pool(4);
-    std::atomic<unsigned> started{0};
-    for (std::size_t i = 0; i < 200; ++i) {
-        pool.submit([i, &started](RunContext &ctx) {
-            started.fetch_add(1, std::memory_order_relaxed);
-            if (i == 10) {
-                throw SimError(SimError::Kind::deadlock, "test", 42,
-                               "injected hard error");
-            }
-            // Give the cancellation a chance to overtake the queue.
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-            if (ctx.cancelled())
-                return;
-        });
-    }
-    pool.wait();
-    EXPECT_TRUE(pool.cancelled());
-    EXPECT_EQ(pool.firstErrorIndex(), 10u);
-    EXPECT_THROW(pool.rethrowFirstError(), SimError);
-    // Cancellation skips not-yet-started runs; everything is still
-    // accounted for (wait() returned), and nothing ran twice.
-    EXPECT_LE(started.load() + pool.skippedCount(), 200u);
-}
-
-TEST(RunPool, LowestSubmissionIndexErrorWins)
-{
-    // Every run fails; whatever interleaving happens (cancellation may
-    // skip any subset, and a worker's LIFO pop may start anywhere in
-    // its deque), the reported error must be the lowest-index run that
-    // actually executed.
-    RunPool pool(2);
+    const std::size_t n = 200;
     std::mutex mu;
-    std::vector<std::size_t> executed;
-    for (std::size_t i = 0; i < 8; ++i) {
-        pool.submit([i, &mu, &executed](RunContext &) {
+    std::vector<std::size_t> started;
+    std::vector<std::function<int()>> tasks;
+    for (std::size_t i = 0; i < n; ++i) {
+        tasks.push_back([i, &mu, &started] {
             {
                 std::lock_guard<std::mutex> lock(mu);
-                executed.push_back(i);
+                started.push_back(i);
             }
+            if (i == 10) {
+                throw SimError(SimError::Kind::deadlock, "test", Tick(i),
+                               "injected hard error");
+            }
+            // Give the cancellation a chance to overtake the counter.
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            return 0;
+        });
+    }
+    try {
+        parallelMap<int>(4, std::move(tasks));
+        FAIL() << "the injected error was swallowed";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), SimError::Kind::deadlock);
+        EXPECT_EQ(e.tick(), Tick(10));
+    }
+    // Indices are claimed in order, so every task up to the failing
+    // one ran; tasks not yet claimed when it threw were skipped, and
+    // none ran twice.
+    std::sort(started.begin(), started.end());
+    EXPECT_EQ(std::adjacent_find(started.begin(), started.end()),
+              started.end());
+    ASSERT_GE(started.size(), 11u);
+    EXPECT_EQ(started[10], 10u);
+    EXPECT_LT(started.size(), n);
+}
+
+TEST(ParallelMap, LowestSubmissionIndexErrorWins)
+{
+    // Every task fails. Whichever thread finishes first, task 0 is
+    // always claimed, so its error is the one rethrown — the same
+    // error a serial run raises.
+    std::vector<std::function<int()>> tasks;
+    for (std::size_t i = 0; i < 8; ++i) {
+        tasks.push_back([i]() -> int {
             throw SimError(SimError::Kind::assertion, "test", Tick(i),
                            "run " + std::to_string(i));
         });
     }
-    pool.wait();
-    ASSERT_NE(pool.firstError(), nullptr);
-    ASSERT_FALSE(executed.empty());
-    EXPECT_EQ(pool.firstErrorIndex(),
-              *std::min_element(executed.begin(), executed.end()));
+    for (unsigned jobs : {1u, 2u, 8u}) {
+        try {
+            parallelMap<int>(jobs, tasks);
+            FAIL() << "no error at jobs=" << jobs;
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.tick(), Tick(0)) << "jobs=" << jobs;
+        }
+    }
 }
 
 TEST(ParallelMap, SerialPathPropagatesImmediately)
 {
-    std::vector<std::function<int(RunContext &)>> tasks;
+    std::vector<std::function<int()>> tasks;
     std::vector<int> ran;
     for (int i = 0; i < 5; ++i) {
-        tasks.push_back([i, &ran](RunContext &) {
+        tasks.push_back([i, &ran] {
             if (i == 2)
                 throw SimError(SimError::Kind::config, "test", 0,
                                "bad point");
@@ -233,7 +168,7 @@ TEST(Determinism, ReportBytesIdenticalAcrossJobCounts)
 
 TEST(Determinism, PointSweepMetricsIdenticalAcrossJobCounts)
 {
-    // The same scenario's *internal* sweep (sweep_runner --jobs) must
+    // The same scenario's *internal* sweep (--point-jobs) must
     // produce bitwise-identical metrics for any worker count. Run the
     // heaviest sweep at a reduced size to keep this in tier-1.
     const Scenario *s = findScenario("table1_rank64");

@@ -95,6 +95,20 @@ struct SyncCase
     std::int32_t expect_cell;
 };
 
+/** Names each case by its fields, so test names are stable and
+ *  readable (the default prints the struct's raw bytes, padding
+ *  included). */
+void
+PrintTo(const SyncCase &c, std::ostream *os)
+{
+    static const char *const tests[] = {"always", "eq", "ne", "lt",
+                                        "le",     "gt", "ge"};
+    *os << tests[unsigned(c.test)] << ' ' << c.test_operand << ' '
+        << syncOperateName(c.operate) << ' ' << c.operand << " on "
+        << c.initial << " -> " << (c.expect_success ? "ok " : "fail ")
+        << c.expect_cell;
+}
+
 class SyncSemantics : public ::testing::TestWithParam<SyncCase>
 {
 };

@@ -41,6 +41,14 @@ struct BandCase
     Band expected;
 };
 
+/** Readable, stable test names instead of the struct's raw bytes. */
+void
+PrintTo(const BandCase &c, std::ostream *os)
+{
+    *os << "speedup " << c.spdup << " of " << c.p << " -> "
+        << bandName(c.expected);
+}
+
 class BandClassification : public ::testing::TestWithParam<BandCase>
 {
 };

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "machine/cedar.hh"
 #include "runtime/loops.hh"
 #include "sim/engine.hh"
@@ -165,22 +167,6 @@ TEST(Stats, SampleStatSummaries)
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 
-TEST(Stats, HistogramBucketsAndPercentiles)
-{
-    Histogram h(10, 1.0);
-    for (int i = 0; i < 100; ++i)
-        h.sample(i % 10);
-    EXPECT_EQ(h.bucket(0), 10u);
-    EXPECT_EQ(h.overflow(), 0u);
-    h.sample(1000.0);
-    EXPECT_EQ(h.overflow(), 1u);
-    h.sample(-1.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    double median = h.percentile(0.5);
-    EXPECT_GE(median, 3.0);
-    EXPECT_LE(median, 7.0);
-}
-
 TEST(Stats, HarmonicMeanMatchesHandComputation)
 {
     // Harmonic mean of 2 and 6 is 3.
@@ -205,6 +191,19 @@ TEST(Rng, UniformInRange)
         EXPECT_LT(u, 1.0);
         EXPECT_LT(r.below(17), 17u);
     }
+}
+
+TEST(DeriveSeed, PureUniqueAndMasterDependent)
+{
+    const std::uint64_t master = 0xCEDAE8ECULL;
+    std::set<std::uint64_t> seen;
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        std::uint64_t s = deriveSeed(master, i);
+        EXPECT_EQ(s, deriveSeed(master, i));
+        EXPECT_TRUE(seen.insert(s).second)
+            << "seed collision at index " << i;
+    }
+    EXPECT_NE(deriveSeed(1, 0), deriveSeed(2, 0));
 }
 
 // ----------------------------------------------------------- event objects
