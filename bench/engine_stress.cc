@@ -4,10 +4,9 @@
  * machine cycles is only practical if the engine itself is fast, so
  * this bench measures raw events per host second for component-owned
  * member events rescheduled intrusively (the CE advance path, no
- * allocation per event), then times the parallel engine on a
- * Cedar-shaped partition graph at a ladder of thread counts.
+ * allocation per event).
  *
- * The workloads live in bench/stress_core.hh, shared with the
+ * The workload lives in bench/stress_core.hh, shared with the
  * perf-trajectory runner so both binaries measure identical code.
  */
 
@@ -35,29 +34,7 @@ main(int argc, char **argv)
                core::fmt(member.rate() / 1e6, 2)});
     table.print();
 
-    // Parallel engine: the Cedar-shaped partition workload under the
-    // conservative window protocol at a ladder of thread counts. The
-    // checksum equality is the determinism contract in action; the
-    // speedup column is bounded by the host's core count.
-    std::printf("\nParallel engine: %u cluster partitions + complex, "
-                "lookahead %llu ticks\n\n",
-                pdes_clusters,
-                static_cast<unsigned long long>(pdes_channel_latency));
-    PdesLadder ladder = runPdesLadder();
-    core::TableWriter ptable(
-        {"threads", "events", "host s", "vs 1 thread", "checksum ok"});
-    for (std::size_t i = 0; i < ladder.runs.size(); ++i) {
-        const PdesResult &r = ladder.runs[i];
-        ptable.row({std::to_string(pdes_thread_ladder[i]),
-                    std::to_string(r.events), core::fmt(r.seconds, 3),
-                    core::fmt(ladder.runs[0].seconds / r.seconds, 2) + "x",
-                    "yes"});
-    }
-    ptable.print();
-
     out.metric("member_events_per_sec", member.rate());
-    out.metric("pdes_serial_seconds", ladder.runs[0].seconds);
-    out.metric("pdes_speedup_best", ladder.bestSpeedup());
     out.emit();
     return 0;
 }

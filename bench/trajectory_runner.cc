@@ -88,16 +88,6 @@ allProbes(unsigned sweep_jobs)
                           Simulation sim;
                           return runOnce(sim, g_stress_events).rate();
                       }});
-    // Parallel-engine scaling on the Cedar-shaped partition workload:
-    // best threads>1 wall clock against the identical threads=1
-    // protocol. Checksums must agree — the ladder dies rather than
-    // record a fast-but-wrong engine. The value is bounded above by
-    // the host's core count (about 1.0x on a single-core runner); the
-    // trajectory gate only trips on regressions, so recording a
-    // modest baseline is safe on any host.
-    probes.push_back({"engine.pdes_speedup", true, 2, [] {
-                          return runPdesLadder().bestSpeedup();
-                      }});
     probes.push_back({"valid_fast.seconds", false, 3, [] {
                           return timedSeconds([] {
                               valid::ValidationOptions vopts;

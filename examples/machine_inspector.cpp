@@ -21,7 +21,6 @@
  *
  *   $ ./examples/machine_inspector [--stats-json] [--chrome-trace FILE]
  *                                  [--telemetry FILE [--interval N]]
- *                                  [--engine-threads N]
  */
 
 #include <cstdio>
@@ -47,7 +46,6 @@ main(int argc, char **argv)
     const char *restore_ckpt = nullptr;
     const char *info_ckpt = nullptr;
     Tick interval = 50'000;
-    unsigned engine_threads = 0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--stats-json") == 0)
             stats_json = true;
@@ -66,20 +64,6 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--checkpoint-info") == 0 &&
                  i + 1 < argc)
             info_ckpt = argv[++i];
-        else if (std::strcmp(argv[i], "--engine-threads") == 0 &&
-                 i + 1 < argc) {
-            // Run the machines under the parallel engine; the reports
-            // are bit-identical to the serial engine's at any count.
-            char *end = nullptr;
-            long long n = std::strtoll(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0' || n < 0 || n > 256) {
-                std::fprintf(stderr,
-                             "--engine-threads wants [0, 256], got '%s'\n",
-                             argv[i]);
-                return 2;
-            }
-            engine_threads = unsigned(n);
-        }
         else if (std::strcmp(argv[i], "--interval") == 0 && i + 1 < argc) {
             long long n = std::atoll(argv[++i]);
             if (n < 1) {
@@ -135,9 +119,7 @@ main(int argc, char **argv)
         telemetry = std::make_unique<FileTelemetrySink>(telemetry_path);
 
     for (unsigned clusters : {1u, 4u}) {
-        machine::CedarConfig cfg;
-        cfg.engine_threads = engine_threads;
-        machine::CedarMachine machine(cfg);
+        machine::CedarMachine machine;
         machine.enableMonitoring();
         if (telemetry) {
             telemetry->write("{\"v\":1,\"kind\":\"point\",\"label\":"

@@ -9,7 +9,6 @@
 
 #include "mem/address.hh"
 #include "sim/checkpoint.hh"
-#include "sim/pdes.hh"
 
 namespace cedar::machine {
 
@@ -28,43 +27,9 @@ CedarMachine::CedarMachine(const CedarConfig &config)
     _watchdog.setDiagnostics([this] { return diagnosticBundle(); });
     _sim.attachWatchdog(&_watchdog);
     registerStats();
-    if (_config.engine_threads >= 1)
-        enablePdes(_config.engine_threads);
 }
 
 CedarMachine::~CedarMachine() = default;
-
-EngineCoordinator &
-CedarMachine::enablePdes(unsigned threads)
-{
-    sim_assert(!_pdes, "parallel engine is already enabled");
-    _pdes = std::make_unique<EngineCoordinator>(child("pdes"), threads);
-
-    // The machine's own engine — clocking the omega networks, the
-    // global-memory modules, and every driver-scheduled event — is the
-    // network+GM "complex" logical process. Attaching it makes every
-    // existing run()/runUntil() call delegate to the coordinator.
-    unsigned complex_lp = _pdes->attachPartition(_sim, child("complex"));
-
-    // One logical process per cluster, linked to the complex both
-    // ways. The channel latencies are the structural minima of the
-    // forward (request) and reverse (response) omega networks: nothing
-    // can cross between a cluster's ports and the memory side faster
-    // than an uncontended packet head, so they are safe conservative
-    // lookahead. Components migrate onto these partitions by
-    // scheduling through them and sending through the channels; today
-    // the machine's event population lives on the complex, which the
-    // coordinator's solo fast path runs at serial speed (sim/pdes.hh).
-    Tick fwd = _gm->forwardNet().minLatency();
-    Tick rev = _gm->reverseNet().minLatency();
-    for (unsigned c = 0; c < _config.num_clusters; ++c) {
-        std::string nm = child("cluster" + std::to_string(c) + ".lp");
-        unsigned lp = _pdes->addPartition(nm);
-        _pdes->addChannel(lp, complex_lp, fwd, nm + ".fwd");
-        _pdes->addChannel(complex_lp, lp, rev, nm + ".rev");
-    }
-    return *_pdes;
-}
 
 void
 CedarMachine::injectFaults(const FaultSpec &spec)
@@ -232,19 +197,9 @@ CedarMachine::saveCheckpoint() const
                         "monitoring is armed; monitor traces are not "
                         "serializable — disableMonitoring() first");
     }
-    if (_pdes && !_pdes->quiescent()) {
-        checkpointError(name(),
-                        "parallel engine is not quiescent: a partition "
-                        "still has queued events or a channel message "
-                        "is in flight");
-    }
     CheckpointWriter w(_sim.curTick());
     // The engine refuses a non-drained queue, so write it first: a
     // machine that is not quiescent fails before any component runs.
-    // Under the parallel engine the coordinator holds no state at
-    // quiescence (checked above), so the snapshot bytes are identical
-    // to the serial engine's and checkpoints interoperate freely
-    // across engines and thread counts.
     _sim.saveState(w);
 
     auto &sec = w.section(child("machine"));

@@ -166,24 +166,6 @@ class CedarMachine : public Named
     TelemetrySampler *telemetry() { return _telemetry.get(); }
 
     /**
-     * Put this machine under a parallel-engine coordinator
-     * (sim/pdes.hh) with @p threads window workers: one logical
-     * process per cluster plus the network+global-memory complex,
-     * with channel latencies from the omega networks' structural
-     * minima.
-     * The machine's own engine becomes the complex partition, so
-     * existing run()/runUntil() call sites work unchanged and — by the
-     * coordinator's determinism contract — produce bit-identical
-     * results at any thread count, including against the plain serial
-     * engine. Called from the constructor when config.engine_threads
-     * >= 1; may be called once.
-     */
-    EngineCoordinator &enablePdes(unsigned threads);
-
-    /** The parallel-engine coordinator, or nullptr (serial engine). */
-    EngineCoordinator *pdes() { return _pdes.get(); }
-
-    /**
      * Serialize the whole machine into a snapshot (see
      * sim/checkpoint.hh for the format). Legal only at a quiescent
      * point: the event queue has drained (between run() phases), no CE
@@ -208,10 +190,6 @@ class CedarMachine : public Named
 
     CedarConfig _config;
     Simulation _sim;
-    /** Declared right after the engine: the coordinator's destructor
-     *  detaches _sim (and joins its workers) while _sim is still
-     *  alive. */
-    std::unique_ptr<EngineCoordinator> _pdes;
     std::unique_ptr<mem::GlobalMemory> _gm;
     std::vector<std::unique_ptr<cluster::Cluster>> _clusters;
     StatRegistry _stats;

@@ -32,19 +32,6 @@ struct CedarConfig
     /** Liveness watchdog (deadlock/livelock detection). */
     WatchdogParams watchdog{};
 
-    /**
-     * Parallel-engine worker threads. 0 runs the classic serial engine
-     * with no coordinator at all; N >= 1 partitions the machine into
-     * one logical process per cluster plus the network+global-memory
-     * complex, under an EngineCoordinator with N window workers (1 =
-     * the full window protocol, sequentially — the determinism
-     * reference). Results are bit-identical for every value
-     * (sim/pdes.hh), which is why the knob stays out of the
-     * fingerprint: a checkpoint saved under any engine restores under
-     * any other.
-     */
-    unsigned engine_threads = 0;
-
     /** Total CEs. */
     unsigned
     numCes() const
@@ -131,10 +118,6 @@ struct CedarConfig
         }
         if (cluster.pfu.buffer_words == 0)
             reject("prefetch buffer must hold at least one word");
-        if (engine_threads > 256) {
-            reject("engine_threads " + std::to_string(engine_threads) +
-                   " is past any plausible host (limit 256)");
-        }
     }
 
     /** The machine as built at CSRD: 4 x Alliant FX/8, 32 CEs. */

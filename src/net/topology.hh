@@ -11,9 +11,10 @@
  * contract are shared here; a concrete topology only supplies its
  * routing function and its minimum-latency bound.
  *
- * The `minLatency()` contract matters beyond reporting: the PDES
- * coordinator derives conservative channel lookahead from it, so it
- * must be a true lower bound on any traversal's head latency.
+ * `minLatency()` is the fabric's analytic floor: the traffic goldens
+ * annotate measured latencies against it, and test_topology pins it
+ * as a true lower bound on head latency that at least one port pair
+ * achieves.
  */
 
 #ifndef CEDARSIM_NET_TOPOLOGY_HH
@@ -77,9 +78,10 @@ class Topology : public Named, public Checkpointable
     path(unsigned in_port, unsigned dest) const = 0;
 
     /**
-     * Minimum (uncontended) head latency through the network. Must be
-     * a true lower bound over all (in_port, dest) pairs: the PDES
-     * partition maps use it as conservative channel lookahead.
+     * Minimum (uncontended) head latency through the network: the
+     * analytic floor the traffic goldens annotate. Must be a true
+     * lower bound over all (in_port, dest) pairs, achieved by at
+     * least one of them.
      */
     virtual Cycles minLatency() const = 0;
 

@@ -7,11 +7,10 @@
  * canonical patterns of the network-architecture literature: uniform
  * random, hot-spot (a fraction of all traffic converges on one port),
  * bit-reversal, and transpose. A generator is a pure function of its
- * seed — the same schedule is produced on every rerun, at any --jobs
- * fan-out, and under any engine-thread count — and the driver injects
- * each round as an ordinary simulation event so the watchdog, PDES
- * coordinator, and statistics see synthetic traffic exactly like
- * program traffic.
+ * seed — the same schedule is produced on every rerun and at any
+ * --jobs fan-out — and the driver injects each round as an ordinary
+ * simulation event so the watchdog and statistics see synthetic
+ * traffic exactly like program traffic.
  */
 
 #ifndef CEDARSIM_NET_TRAFFIC_HH

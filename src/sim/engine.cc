@@ -9,7 +9,6 @@
 
 #include "checkpoint.hh"
 #include "error.hh"
-#include "pdes.hh"
 #include "trace.hh"
 
 namespace cedar {
@@ -118,12 +117,6 @@ Simulation::run()
 }
 
 void
-Simulation::coordinatorStop()
-{
-    _coordinator->requestStop();
-}
-
-void
 Simulation::saveState(CheckpointWriter &w) const
 {
     if (!_heap.empty()) {
@@ -188,16 +181,6 @@ struct HostTimeScope
 Tick
 Simulation::runUntil(Tick limit)
 {
-    if (_coordinator) {
-        _coordinator->runUntil(limit);
-        return _now;
-    }
-    return runLocal(limit);
-}
-
-Tick
-Simulation::runLocal(Tick limit, bool drain_hook)
-{
     _stop_requested = false;
     HostTimeScope host_time(_host_ns, s_global_host_ns);
     std::uint64_t events_at_entry = _events_executed;
@@ -206,8 +189,11 @@ Simulation::runLocal(Tick limit, bool drain_hook)
     while (!_heap.empty() && !_stop_requested) {
         if (_heap.front()->_when > limit) {
             // Leave future events queued; advance time to the horizon so
-            // repeated runUntil() calls compose naturally.
-            _now = limit;
+            // repeated runUntil() calls compose naturally. A horizon
+            // behind the clock leaves it alone: rewinding would let
+            // schedule() accept ticks in the past.
+            if (_now < limit)
+                _now = limit;
             s_global_events.fetch_add(_events_executed - events_at_entry,
                                       std::memory_order_relaxed);
             return _now;
@@ -240,7 +226,7 @@ Simulation::runLocal(Tick limit, bool drain_hook)
         if (_watchdog)
             _watchdog->onEvent(_now);
     }
-    if (drain_hook && _watchdog && _heap.empty() && !_stop_requested)
+    if (_watchdog && _heap.empty() && !_stop_requested)
         _watchdog->onDrain(_now);
     s_global_events.fetch_add(_events_executed - events_at_entry,
                               std::memory_order_relaxed);

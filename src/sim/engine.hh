@@ -28,7 +28,6 @@ namespace cedar {
 
 class CheckpointWriter;
 class CheckpointReader;
-class EngineCoordinator;
 
 /**
  * Discrete-event simulator core. One instance per simulated machine;
@@ -91,29 +90,21 @@ class Simulation
     }
 
     /**
-     * Run until the queue drains or stop() is called. When this engine
-     * is one partition of an EngineCoordinator, the call delegates to
-     * the coordinator, which windows every partition forward together
-     * (sim/pdes.hh); callers never need to know which engine runs them.
+     * Run until the queue drains or stop() is called.
      * @return the tick at which execution stopped
      */
     Tick run();
 
-    /** Run until simulated time would exceed @p limit. */
+    /**
+     * Run until simulated time would exceed @p limit. Events past the
+     * limit stay queued and the clock advances to @p limit, so repeated
+     * calls compose; a limit already behind the clock leaves it where
+     * it is (time never runs backwards).
+     */
     Tick runUntil(Tick limit);
 
-    /**
-     * Ask the main loop to stop after the current event. Under a
-     * coordinator this stops the whole coordinated run, not just this
-     * partition, preserving the serial-engine contract.
-     */
-    void
-    stop()
-    {
-        _stop_requested = true;
-        if (_coordinator)
-            coordinatorStop();
-    }
+    /** Ask the main loop to stop after the current event. */
+    void stop() { _stop_requested = true; }
 
     /** True once the event queue is empty. */
     bool empty() const { return _heap.empty(); }
@@ -190,29 +181,6 @@ class Simulation
     HostProfiler *profiler() const { return _profiler.get(); }
 
     /**
-     * Attach this engine to a parallel-engine coordinator as partition
-     * @p partition (nullptr detaches). While attached, run()/runUntil()
-     * delegate to the coordinator's conservative window protocol.
-     * Managed by EngineCoordinator; components never call this.
-     */
-    void
-    attachCoordinator(EngineCoordinator *c, unsigned partition)
-    {
-        _coordinator = c;
-        _partition = partition;
-    }
-
-    /** The attached parallel-engine coordinator, or nullptr. */
-    EngineCoordinator *coordinator() const { return _coordinator; }
-
-    /** Tick of the next queued event, or max_tick when empty. */
-    Tick
-    headWhen() const
-    {
-        return _heap.empty() ? max_tick : _heap.front()->_when;
-    }
-
-    /**
      * Snapshot the engine clocks (tick, sequence counter, event total)
      * into section "cedar.engine". Legal only at a quiescent point:
      * raises a `checkpoint` SimError while events are still queued,
@@ -231,21 +199,6 @@ class Simulation
 
   private:
     friend class Event;
-    friend class EngineCoordinator;
-
-    /**
-     * The real dispatch loop (the pre-coordinator runUntil body). The
-     * coordinator calls this directly per window; @p drain_hook false
-     * suppresses the watchdog's drained-queue check, which the
-     * coordinator raises itself once every partition has drained.
-     */
-    Tick runLocal(Tick limit, bool drain_hook = true);
-
-    /** Request a local stop without escalating to the coordinator. */
-    void stopLocal() { _stop_requested = true; }
-
-    /** Out-of-line coordinator escalation (avoids a header cycle). */
-    void coordinatorStop();
 
     /** Strict ordering: does @p a fire before @p b? */
     static bool
@@ -272,8 +225,6 @@ class Simulation
     std::uint64_t _event_limit = 0;
     bool _stop_requested = false;
     Watchdog *_watchdog = nullptr;
-    EngineCoordinator *_coordinator = nullptr;
-    unsigned _partition = 0;
     /** Per-kind host-time attribution; allocated only when armed. */
     std::unique_ptr<HostProfiler> _profiler;
 

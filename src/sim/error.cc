@@ -50,7 +50,6 @@ SimError::kindName(Kind kind)
       case Kind::deadlock: return "deadlock";
       case Kind::livelock: return "livelock";
       case Kind::checkpoint: return "checkpoint";
-      case Kind::lookahead: return "lookahead";
     }
     return "unknown";
 }

@@ -45,9 +45,6 @@ class SimError : public std::logic_error
         checkpoint,      ///< snapshot save/restore failed (corrupt,
                          ///< truncated, version-skewed, or the machine
                          ///< was not at a quiescent point)
-        lookahead,       ///< parallel engine: a cross-partition message
-                         ///< was presented earlier than its channel's
-                         ///< declared minimum latency allows
     };
 
     SimError(Kind kind, std::string component, Tick tick,

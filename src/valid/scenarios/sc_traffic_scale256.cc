@@ -6,8 +6,8 @@
  * drift tripwires (the paper has no numbers out here) and the
  * completion/conservation facts are exact property cells. This is the
  * scale ceiling of the golden battery: if a latent small-machine
- * assumption creeps back into the address map, the partition map, or
- * a topology's routing, this scenario is where it dies.
+ * assumption creeps back into the address map or a topology's
+ * routing, this scenario is where it dies.
  */
 
 #include <cstdio>

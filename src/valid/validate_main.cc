@@ -62,9 +62,6 @@ usage(const char *argv0, int code)
         "metrics instead of re-running completed scenarios\n"
         "  --sample             estimate phased scenarios via the "
         "live-point sampler (reported, not golden-checked)\n"
-        "  --engine-threads N   run every scenario's machine under the "
-        "parallel engine with N window workers (0: classic serial "
-        "engine; results are bit-identical for any N)\n"
         "  --perturb KEY=VALUE  perturb the machine config "
         "(repeatable); e.g. gm.module_conflict_extra=3\n",
         argv0);
@@ -193,7 +190,6 @@ main(int argc, char **argv)
     bool list = false, json = false;
     ValidationOptions vopts;
     std::vector<Perturbation> perturbations;
-    unsigned engine_threads = 0;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -231,17 +227,6 @@ main(int argc, char **argv)
             vopts.resume = true;
         } else if (arg == "--sample") {
             vopts.sample = true;
-        } else if (arg == "--engine-threads") {
-            const char *v = next("a thread count");
-            char *end = nullptr;
-            long t = std::strtol(v, &end, 10);
-            if (!end || *end != '\0' || t < 0 || t > 256) {
-                std::fprintf(stderr, "--engine-threads wants a count in "
-                                     "[0, 256], got '%s'\n",
-                             v);
-                return 2;
-            }
-            engine_threads = unsigned(t);
         } else if (arg == "--telemetry-interval") {
             const char *v = next("a tick count");
             char *end = nullptr;
@@ -342,19 +327,6 @@ main(int argc, char **argv)
                 for (const auto &k : knobs())
                     if (p.key == k.key)
                         k.set(cfg, p.value);
-        };
-    }
-    if (engine_threads > 0) {
-        // Compose onto any perturbation hook: every scenario machine is
-        // then built under the chosen engine. The goldens do not change
-        // — the parallel engine is bit-identical by contract, and CI
-        // diffs full reports across --engine-threads values to prove it.
-        auto prev = vopts.config_hook;
-        vopts.config_hook = [prev,
-                             engine_threads](machine::CedarConfig &cfg) {
-            if (prev)
-                prev(cfg);
-            cfg.engine_threads = engine_threads;
         };
     }
 

@@ -358,63 +358,6 @@ TEST(CheckpointMachine, TelemetryContinuesBitIdentically)
     EXPECT_EQ(b.telemetry()->records(), a.telemetry()->records());
 }
 
-// ----------------------------------------------- parallel-engine interplay
-
-TEST(CheckpointEngine, SnapshotsInteroperateAcrossEngines)
-{
-    // The engine knobs are execution strategy, not simulated state:
-    // they are excluded from the config fingerprint, and at a
-    // quiescent boundary the coordinator holds no state of its own.
-    // So a snapshot taken under the windowed engine is byte-identical
-    // to one taken under the serial engine, restores into either, and
-    // the continued run matches the uninterrupted reference — in both
-    // directions.
-    Workload w{"xengine", kernels::Rank64Version::gm_prefetch, 2,
-               nullptr};
-    machine::CedarConfig parallel_cfg =
-        machine::CedarConfig::standard();
-    parallel_cfg.engine_threads = 4;
-
-    // Uninterrupted serial reference: two units.
-    std::string reference;
-    {
-        machine::CedarMachine m;
-        runUnit(m, w);
-        runUnit(m, w);
-        reference = strippedStats(m);
-    }
-
-    // One unit under each engine; the snapshots must already agree.
-    machine::CedarMachine serial;
-    runUnit(serial, w);
-    std::string snap_serial = serial.saveCheckpoint();
-
-    machine::CedarMachine parallel(parallel_cfg);
-    ASSERT_NE(parallel.pdes(), nullptr);
-    runUnit(parallel, w);
-    std::string snap_parallel = parallel.saveCheckpoint();
-    EXPECT_EQ(snap_parallel, snap_serial)
-        << "engine choice leaked into the snapshot bytes";
-
-    // Serial snapshot -> parallel machine, finish there.
-    {
-        machine::CedarMachine resumed(parallel_cfg);
-        resumed.restoreCheckpoint(snap_serial);
-        EXPECT_EQ(resumed.saveCheckpoint(), snap_serial);
-        runUnit(resumed, w);
-        EXPECT_EQ(strippedStats(resumed), reference);
-    }
-
-    // Parallel snapshot -> serial machine, finish there.
-    {
-        machine::CedarMachine resumed;
-        resumed.restoreCheckpoint(snap_parallel);
-        EXPECT_EQ(resumed.saveCheckpoint(), snap_parallel);
-        runUnit(resumed, w);
-        EXPECT_EQ(strippedStats(resumed), reference);
-    }
-}
-
 // -------------------------------------------------------- property test
 
 TEST(CheckpointProperty, RandomSplitBitIdentity)

@@ -28,8 +28,8 @@
 #include <vector>
 
 #include "core/cedar.hh"
-#include "fuzz_schedule.hh"
 #include "sim/random.hh"
+#include "test_events.hh"
 
 using namespace cedar;
 
@@ -42,25 +42,47 @@ struct QuietEnv : public ::testing::Environment
 const auto *quiet_env =
     ::testing::AddGlobalTestEnvironment(new QuietEnv);
 
-// The corpus generator and serial-reference runner live in
-// tests/fuzz_schedule.hh now, shared with the parallel-engine battery
-// (tests/test_pdes.cc) so both engines face the same inputs.
-using test::fuzz::Firing;
-constexpr auto &all_priorities = test::fuzz::fuzz_priorities;
+constexpr EventPriority all_priorities[] = {
+    EventPriority::memory_response, EventPriority::network,
+    EventPriority::normal,          EventPriority::ce_progress,
+    EventPriority::stats,
+};
 
+/** One observed firing: when, at what priority, and which corpus
+ *  event it was (its schedule order). */
+struct Firing
+{
+    Tick when;
+    int priority;
+    unsigned index;
+};
+
+/**
+ * Schedule @p n one-shots with seeded random ticks in [0, horizon) and
+ * priorities across every class, run them, and return the firings.
+ */
 std::vector<Firing>
 runRandomSchedule(std::uint64_t seed, unsigned n, Tick horizon)
 {
-    auto fired = test::fuzz::runFlatSerial(seed, n, horizon);
+    Rng rng(seed);
+    Simulation sim;
+    std::vector<Firing> fired;
+    fired.reserve(n);
+    std::deque<test::LambdaEvent> events;
+    std::vector<std::pair<Tick, int>> expected(n);
+    for (unsigned i = 0; i < n; ++i) {
+        Tick when = static_cast<Tick>(rng.below(horizon));
+        EventPriority prio = all_priorities[rng.below(5)];
+        expected[i] = {when, static_cast<int>(prio)};
+        auto record = [&fired, &sim, prio, i] {
+            fired.push_back({sim.curTick(), static_cast<int>(prio), i});
+        };
+        sim.schedule(events.emplace_back(record, prio), when);
+    }
+    sim.run();
     EXPECT_EQ(fired.size(), n);
     // The engine must fire every event exactly at its corpus tick,
     // with its corpus priority.
-    std::vector<std::pair<Tick, int>> expected(n);
-    test::fuzz::buildFlatCorpus(
-        seed, n, horizon,
-        [&expected](unsigned i, Tick when, EventPriority prio) {
-            expected[i] = {when, static_cast<int>(prio)};
-        });
     for (const auto &f : fired) {
         EXPECT_EQ(f.when, expected[f.index].first);
         EXPECT_EQ(f.priority, expected[f.index].second);
@@ -100,35 +122,6 @@ TEST(EngineProperty, SameSeedSameFiringSequence)
         EXPECT_EQ(a[i].when, b[i].when);
         EXPECT_EQ(a[i].priority, b[i].priority);
         EXPECT_EQ(a[i].index, b[i].index);
-    }
-}
-
-TEST(EngineProperty, SameCorpusSameFiringsOnEitherEngine)
-{
-    // The corpus is engine-agnostic: spread over coordinator
-    // partitions, every firing keeps its (tick, priority, identity).
-    // The full parallel-engine battery lives in test_pdes.cc; this
-    // pins the property-suite contract from the serial side.
-    // Partition tags differ by construction (serial tags all 0), so
-    // order by (when, priority, index) only.
-    auto sortByIdentity = [](std::vector<test::fuzz::Firing> v) {
-        std::sort(v.begin(), v.end(),
-                  [](const test::fuzz::Firing &a,
-                     const test::fuzz::Firing &b) {
-                      return std::make_tuple(a.when, a.priority, a.index) <
-                             std::make_tuple(b.when, b.priority, b.index);
-                  });
-        return v;
-    };
-    auto serial = sortByIdentity(
-        test::fuzz::canonical({runRandomSchedule(7, 400, 150)}));
-    auto part = sortByIdentity(test::fuzz::canonical(
-        test::fuzz::runFlatPartitioned(7, 400, 150, 4, 2)));
-    ASSERT_EQ(serial.size(), part.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].when, part[i].when);
-        EXPECT_EQ(serial[i].priority, part[i].priority);
-        EXPECT_EQ(serial[i].index, part[i].index);
     }
 }
 

@@ -107,6 +107,25 @@ TEST(Engine, RunUntilStopsAtHorizonAndResumes)
     EXPECT_EQ(sim.curTick(), 100u);
 }
 
+TEST(Engine, RunUntilBelowNowNeverRewindsTheClock)
+{
+    Simulation sim;
+    int fired = 0;
+    LambdaEvent a([&] { ++fired; }), b([&] { ++fired; }), late([] {});
+    sim.schedule(a, 150);
+    sim.schedule(b, 200);
+    sim.runUntil(150);
+    ASSERT_EQ(sim.curTick(), 150u);
+    // A horizon behind the clock with an event still queued past it:
+    // nothing fires and time must not run backwards.
+    EXPECT_EQ(sim.runUntil(50), 150u);
+    EXPECT_EQ(sim.curTick(), 150u);
+    EXPECT_THROW(sim.schedule(late, 60), std::logic_error);
+    sim.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(sim.curTick(), 200u);
+}
+
 TEST(Engine, StopHaltsTheLoop)
 {
     Simulation sim;

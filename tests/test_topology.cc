@@ -2,9 +2,9 @@
  * @file
  * Property battery for the interconnect topology families: routing
  * uniqueness and self-routing, packet conservation, the min-latency
- * floor (the PDES lookahead contract), and bisection sanity, over
- * multiple shape points per family — mirroring the omega invariants
- * test_net.cc has always pinned.
+ * floor (the analytic bound the goldens annotate), and bisection
+ * sanity, over multiple shape points per family — mirroring the omega
+ * invariants test_net.cc has always pinned.
  */
 
 #include <gtest/gtest.h>
@@ -144,8 +144,9 @@ TEST(Topology, PacketConservation)
 }
 
 // minLatency() must be a true lower bound over every port pair — the
-// PDES coordinator uses it as conservative channel lookahead — and it
-// must be achieved by at least one pair (it is a floor, not padding).
+// traffic goldens annotate measured latencies against this analytic
+// floor — and it must be achieved by at least one pair (it is a floor,
+// not padding).
 TEST(Topology, MinLatencyIsAnAchievedFloor)
 {
     for (const Shape &s : allShapes()) {

@@ -2,8 +2,8 @@
  * @file
  * Synthetic traffic subsystem tests: schedule determinism (the
  * golden-cell contract), pattern structure, typed rejection of
- * impossible parameters, engine-configuration identity, and the
- * scaled machines the generators were built to stress.
+ * impossible parameters, and the scaled machines the generators were
+ * built to stress.
  */
 
 #include <gtest/gtest.h>
@@ -184,27 +184,6 @@ TEST(Traffic, RerunsAreBitIdentical)
         EXPECT_TRUE(identical(first, second))
             << net::trafficPatternName(pattern);
         EXPECT_EQ(first.packets, 12u * 16u);
-    }
-}
-
-// The engine axis: serial engine and windowed coordinator at 2 and 4
-// threads must agree exactly, for every pattern (the traffic driver
-// lives on the complex partition, so the PDES contract covers it).
-TEST(Traffic, EngineThreadLadderIsBitIdentical)
-{
-    for (TrafficPattern pattern : net::allTrafficPatterns()) {
-        TrafficParams p;
-        p.pattern = pattern;
-        p.rounds = 8;
-        auto cfg = machine::CedarConfig::scaled(2);
-        auto reference = runOn(cfg, p);
-        for (unsigned threads : {2u, 4u}) {
-            auto threaded = cfg;
-            threaded.engine_threads = threads;
-            EXPECT_TRUE(identical(reference, runOn(threaded, p)))
-                << net::trafficPatternName(pattern) << " at "
-                << threads << " engine threads";
-        }
     }
 }
 

@@ -355,44 +355,6 @@ TEST(ScenarioContext, ConfigHookReachesStandardAndCustomConfigs)
               base.gm.module_conflict_extra + 3);
 }
 
-// ---------------------------------------------------------------------
-// Parallel engine: report byte-identity across engine configurations
-// ---------------------------------------------------------------------
-
-TEST(EngineIdentity, ReportBytesIdenticalAcrossEngineConfigs)
-{
-    // The parallel engine's contract at the validation layer: the
-    // rendered report — log text and JSON — is byte-identical whether
-    // scenarios run on the serial engine (engine_threads = 0) or the
-    // windowed coordinator at any thread count. This is the in-process
-    // form of the CI `cmp` step on cedar_validate --engine-threads
-    // output.
-    const unsigned engines[] = {0, 1, 4, 2};
-
-    auto runWith = [](unsigned threads) {
-        ValidationOptions opts;
-        opts.filters = {"fig12_topology", "table3_perfect",
-                        "fig3_scatter"};
-        opts.config_hook = [threads](machine::CedarConfig &cfg) {
-            cfg.engine_threads = threads;
-        };
-        return runValidation(opts);
-    };
-
-    ValidationReport base = runWith(engines[0]);
-    ASSERT_EQ(base.ran, 3u);
-    EXPECT_EQ(base.failed, 0u) << base.logText();
-    const std::string base_json = base.jsonReport().dump(2);
-    const std::string base_log = base.logText();
-    for (std::size_t i = 1; i < std::size(engines); ++i) {
-        ValidationReport r = runWith(engines[i]);
-        EXPECT_EQ(r.jsonReport().dump(2), base_json)
-            << "engine_threads=" << engines[i];
-        EXPECT_EQ(r.logText(), base_log) << "engine_threads=" << engines[i];
-        EXPECT_EQ(r.exitCode(), 0);
-    }
-}
-
 TEST(ScenarioContext, InjectedRegressionMovesACheckedCell)
 {
     // End-to-end, in miniature: the same scenario body measured under
