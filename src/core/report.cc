@@ -17,27 +17,11 @@
 #include "sim/engine.hh"
 #include "sim/hostprof.hh"
 #include "sim/logging.hh"
+#include "sim/statreg.hh"
 
 namespace cedar::core {
 
 namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
 
 std::string
 jsonNumber(double v)

@@ -6,8 +6,6 @@
 #include "perfmon.hh"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 namespace cedar::machine {
 
@@ -94,67 +92,6 @@ PerfMonitor::clear()
     _pfu_latency.clear();
     for (auto &c : _signal_counts)
         c.reset();
-}
-
-std::string
-chromeTraceJson(const EventTracer &tracer)
-{
-    std::ostringstream os;
-    os << "[";
-    bool first = true;
-    auto emit = [&os, &first] {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n";
-    };
-
-    // Metadata: name one trace thread per subsystem category, so the
-    // viewer groups cache, net, gm, ... into labeled rows. Categories
-    // are discovered from the signal table to stay in sync with it.
-    std::vector<const char *> categories;
-    auto tidOf = [&categories](const char *cat) {
-        for (std::size_t i = 0; i < categories.size(); ++i) {
-            if (std::string(categories[i]) == cat)
-                return static_cast<int>(i);
-        }
-        categories.push_back(cat);
-        return static_cast<int>(categories.size() - 1);
-    };
-    for (std::uint32_t s = 0; s < num_signals; ++s)
-        tidOf(signalCategory(static_cast<Signal>(s)));
-    for (std::size_t i = 0; i < categories.size(); ++i) {
-        emit();
-        os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, "
-           << "\"tid\": " << i << ", \"args\": {\"name\": \""
-           << categories[i] << "\"}}";
-    }
-
-    char ts[40];
-    for (const TraceEvent &ev : tracer.events()) {
-        auto sig = static_cast<Signal>(ev.signal);
-        if (ev.signal >= num_signals)
-            continue; // unknown software signal id; skip quietly
-        emit();
-        std::snprintf(ts, sizeof(ts), "%.4f", ticksToMicros(ev.when));
-        os << "{\"name\": \"" << signalName(sig) << "\", \"cat\": \""
-           << signalCategory(sig) << "\", \"ph\": \"i\", \"s\": \"t\", "
-           << "\"ts\": " << ts << ", \"pid\": 0, \"tid\": "
-           << tidOf(signalCategory(sig)) << ", \"args\": {\"value\": "
-           << ev.value << "}}";
-    }
-    os << "\n]\n";
-    return os.str();
-}
-
-bool
-writeChromeTrace(const EventTracer &tracer, const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    out << chromeTraceJson(tracer);
-    return static_cast<bool>(out);
 }
 
 ChromeTraceStream::ChromeTraceStream(const std::string &path)

@@ -184,27 +184,19 @@ class PerfMonitor : public Named, public MonitorSink
 };
 
 /**
- * Render an event trace in the Chrome trace-event format (a JSON
+ * Streaming Chrome-trace writer with crash-safe finalization.
+ *
+ * Writes an event trace in the Chrome trace-event format (a JSON
  * array of {name, cat, ph, ts, pid, tid} instant events, ts in
  * microseconds of machine time) so a run can be opened in
  * chrome://tracing or https://ui.perfetto.dev. Signal categories map
  * to trace threads, with metadata records naming each one.
- */
-std::string chromeTraceJson(const EventTracer &tracer);
-
-/** Write chromeTraceJson() to @p path. @return false on I/O error. */
-bool writeChromeTrace(const EventTracer &tracer, const std::string &path);
-
-/**
- * Streaming Chrome-trace writer with crash-safe finalization.
  *
- * writeChromeTrace() renders the whole array after a run completes —
- * which means a run that dies in a SimError leaves no trace at all,
- * exactly when the trace is most wanted. ChromeTraceStream opens the
- * JSON array (and emits the thread-name metadata) up front, appends
- * events as they are handed over, and closes the array in close() or,
- * failing that, in its destructor — so the file on disk is valid JSON
- * on every exit path, error unwinds included.
+ * The stream opens the JSON array (and emits the thread-name
+ * metadata) up front, appends events as they are handed over, and
+ * closes the array in close() or, failing that, in its destructor —
+ * so the file on disk is valid JSON on every exit path, including a
+ * run that dies in a SimError, exactly when the trace is most wanted.
  */
 class ChromeTraceStream
 {

@@ -510,12 +510,6 @@ CheckpointReader::CheckpointReader(const std::string &snapshot)
     }
 }
 
-bool
-CheckpointReader::hasSection(const std::string &name) const
-{
-    return _index.count(name) != 0;
-}
-
 const CheckpointSectionReader &
 CheckpointReader::section(const std::string &name) const
 {

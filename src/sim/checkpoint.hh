@@ -203,8 +203,6 @@ class CheckpointReader
     std::uint32_t schemaVersion() const { return _schema; }
     Tick tick() const { return _tick; }
 
-    bool hasSection(const std::string &name) const;
-
     /** Section by name; raises `checkpoint` when absent. */
     const CheckpointSectionReader &section(const std::string &name) const;
 

@@ -57,11 +57,24 @@ std::string
 jsonEscape(const std::string &s)
 {
     std::string out;
-    out.reserve(s.size());
+    out.reserve(s.size() + 2);
     for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
     }
     return out;
 }
@@ -155,13 +168,6 @@ StatRegistry::names() const
     for (const auto &[name, entry] : _entries)
         out.push_back(name);
     return out;
-}
-
-void
-StatRegistry::forEach(const std::function<void(const Entry &)> &fn) const
-{
-    for (const auto &[name, entry] : _entries)
-        fn(entry);
 }
 
 std::uint64_t

@@ -32,8 +32,8 @@ bool globMatch(const std::string &pattern, const std::string &text);
  *  a point, non-finite values as 0. */
 std::string jsonNumber(double v);
 
-/** Escape '"' and '\\' for a JSON string (stat names and component
- *  names are plain identifiers). */
+/** Escape @p s for the inside of a JSON string literal (no quotes
+ *  added): '"', '\\' and every control character. */
 std::string jsonEscape(const std::string &s);
 
 /** Registry of named statistics owned by simulator components. */
@@ -75,9 +75,6 @@ class StatRegistry
 
     /** All registered names, sorted. */
     std::vector<std::string> names() const;
-
-    /** Visit every entry in sorted-name order. */
-    void forEach(const std::function<void(const Entry &)> &fn) const;
 
     /** Value of the counter registered as @p name (panics if absent). */
     std::uint64_t counterValue(const std::string &name) const;

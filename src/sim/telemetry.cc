@@ -54,7 +54,7 @@ hostNowNs()
             .count());
 }
 
-/** "1234567" -> "1.23M" style magnitude for heartbeat lines. */
+/** "1234567" -> "1.23M" style magnitude for status lines. */
 std::string
 humanCount(double v)
 {
@@ -91,16 +91,6 @@ FileTelemetrySink::write(const std::string &line)
 {
     std::fwrite(line.data(), 1, line.size(), _file);
     std::fputc('\n', _file);
-}
-
-void
-RingTelemetrySink::write(const std::string &line)
-{
-    if (_capacity && _lines.size() >= _capacity) {
-        _lines.erase(_lines.begin());
-        ++_dropped;
-    }
-    _lines.push_back(line);
 }
 
 std::string
@@ -145,8 +135,8 @@ TelemetrySampler::start()
     _prev = _reg.snapshot(_params.filter);
     _last_tick = _sim.curTick();
     _last_events = _sim.eventsExecuted();
-    _hb_last_ns = hostNowNs();
-    _hb_last_tick = _last_tick;
+    _status_ns = hostNowNs();
+    _status_tick = _last_tick;
     _sim.schedule(_event, _sim.curTick() + _params.interval);
 }
 
@@ -282,60 +272,35 @@ TelemetrySampler::emitRecord(const char *kind, bool final_record)
     _prev = std::move(cur);
     _last_tick = now;
     _last_events = events;
-    heartbeat();
+    updateStatus();
 }
 
 void
-TelemetrySampler::heartbeat()
+TelemetrySampler::updateStatus()
 {
-    const std::uint64_t now_ns = hostNowNs();
     const Tick tick = _sim.curTick();
-    const double dt = (now_ns - _hb_last_ns) * 1e-9;
+    const double dt = (hostNowNs() - _status_ns) * 1e-9;
     const double ticks_per_s =
-        dt > 0.0 ? static_cast<double>(tick - _hb_last_tick) / dt : 0.0;
+        dt > 0.0 ? static_cast<double>(tick - _status_tick) / dt : 0.0;
 
     char buf[256];
-    std::string progress;
-    if (_params.expected_ticks > 0) {
-        double frac = static_cast<double>(tick) /
-                      static_cast<double>(_params.expected_ticks);
-        double eta = ticks_per_s > 0.0
-                         ? (static_cast<double>(_params.expected_ticks) -
-                            static_cast<double>(tick)) /
-                               ticks_per_s
-                         : 0.0;
-        std::snprintf(buf, sizeof(buf), " (%.0f%%, ETA %.1fs)",
-                      100.0 * std::min(frac, 1.0),
-                      eta > 0.0 ? eta : 0.0);
-        progress = buf;
-    }
     std::snprintf(buf, sizeof(buf),
-                  "[telemetry %s] tick %s%s, %s events drained, "
+                  "[telemetry %s] tick %s, %s events drained, "
                   "%s ticks/s, queue %zu, %" PRIu64 " records",
                   _name.c_str(),
                   humanCount(static_cast<double>(tick)).c_str(),
-                  progress.c_str(),
                   humanCount(static_cast<double>(_sim.eventsExecuted()))
                       .c_str(),
                   humanCount(ticks_per_s).c_str(), _sim.queueDepth(),
                   _records);
-    _hb_status = buf;
-
-    // Rate-limit the stderr line to roughly one per host second so a
-    // fine interval cannot flood the terminal.
-    if (_params.heartbeat &&
-        (now_ns - _hb_last_ns >= 1'000'000'000ull || _finished)) {
-        std::fprintf(stderr, "%s\n", _hb_status.c_str());
-        _hb_last_ns = now_ns;
-        _hb_last_tick = tick;
-    }
+    _status = buf;
 }
 
 std::string
 TelemetrySampler::statusLine() const
 {
-    if (!_hb_status.empty())
-        return _hb_status;
+    if (!_status.empty())
+        return _status;
     return "[telemetry " + _name + "] no records yet";
 }
 
@@ -393,10 +358,10 @@ TelemetrySampler::restoreState(const CheckpointReader &r)
         std::string k = "prev" + std::to_string(i);
         _prev[sec.str(k + ".key")] = sec.f64(k + ".value");
     }
-    // Host-clock heartbeat state restarts; it never enters records.
-    _hb_last_ns = hostNowNs();
-    _hb_last_tick = _last_tick;
-    _hb_status.clear();
+    // Host-clock status state restarts; it never enters records.
+    _status_ns = hostNowNs();
+    _status_tick = _last_tick;
+    _status.clear();
 }
 
 } // namespace cedar

@@ -23,10 +23,9 @@
  * component behaviour; golden cells are unchanged at any interval
  * (tests/test_telemetry.cc pins both properties).
  *
- * The optional stderr heartbeat is the one deliberately host-clocked
- * surface: a rate-limited progress line (ticks/sec, events drained,
- * queue depth, ETA against an expected-ticks hint) that also feeds the
- * watchdog's diagnostic bundle via statusLine().
+ * statusLine() is the one deliberately host-clocked surface: a
+ * progress line (ticks/sec, events drained, queue depth) that feeds
+ * the watchdog's diagnostic bundle and never enters a record.
  */
 
 #ifndef CEDARSIM_SIM_TELEMETRY_HH
@@ -74,35 +73,19 @@ class FileTelemetrySink : public TelemetrySink
 /**
  * Keeps records in memory — the test sink, and the buffer the
  * validation driver drains in submission order after parallel runs.
- * A nonzero capacity turns it into a ring that drops the oldest.
  */
 class RingTelemetrySink : public TelemetrySink
 {
   public:
-    explicit RingTelemetrySink(std::size_t capacity = 0)
-        : _capacity(capacity)
-    {
-    }
-
-    void write(const std::string &line) override;
+    void write(const std::string &line) override { _lines.push_back(line); }
 
     const std::vector<std::string> &lines() const { return _lines; }
-    std::uint64_t droppedCount() const { return _dropped; }
 
-    /** All retained lines, newline-terminated, ready to write out. */
+    /** All lines, newline-terminated, ready to write out. */
     std::string text() const;
 
-    void
-    clear()
-    {
-        _lines.clear();
-        _dropped = 0;
-    }
-
   private:
-    std::size_t _capacity;
     std::vector<std::string> _lines;
-    std::uint64_t _dropped = 0;
 };
 
 /** Tuning for one sampler. */
@@ -116,10 +99,6 @@ struct TelemetryParams
      * streams stay bit-identical across hosts and reruns.
      */
     std::string filter = "*";
-    /** Emit the rate-limited stderr heartbeat line. */
-    bool heartbeat = false;
-    /** Expected run length in ticks for the heartbeat's ETA; 0 = unknown. */
-    Tick expected_ticks = 0;
 };
 
 /** Interval sampler bound to one engine and one stat registry. */
@@ -168,10 +147,7 @@ class TelemetrySampler
 
     const TelemetryParams &params() const { return _params; }
 
-    /**
-     * One-line progress summary (the heartbeat text, computed even
-     * when the stderr heartbeat is off) for diagnostic bundles.
-     */
+    /** One-line progress summary for diagnostic bundles. */
     std::string statusLine() const;
 
     /**
@@ -188,7 +164,7 @@ class TelemetrySampler
   private:
     void fire();
     void emitRecord(const char *kind, bool final_record);
-    void heartbeat();
+    void updateStatus();
 
     std::string _name;
     Simulation &_sim;
@@ -208,10 +184,10 @@ class TelemetrySampler
     bool _started = false;
     bool _finished = false;
 
-    /** Host-clock heartbeat state (reporting only, never in records). */
-    std::uint64_t _hb_last_ns = 0;
-    Tick _hb_last_tick = 0;
-    std::string _hb_status;
+    /** Host-clock status state (reporting only, never in records). */
+    std::uint64_t _status_ns = 0;
+    Tick _status_tick = 0;
+    std::string _status;
 };
 
 } // namespace cedar

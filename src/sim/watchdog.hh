@@ -66,7 +66,6 @@ class Watchdog : public Named
                       const WatchdogParams &params = WatchdogParams{});
 
     const WatchdogParams &params() const { return _params; }
-    void setParams(const WatchdogParams &params) { _params = params; }
 
     /**
      * Provider of the diagnostic bundle attached to raised errors

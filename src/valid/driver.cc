@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "exec/parallel.hh"
@@ -56,19 +57,22 @@ metricsToJson(const Metrics &m)
         }
         values.push(std::move(vj));
     }
-    Json notes = Json::array();
-    for (const auto &[k, v] : m.notes) {
-        Json nj = Json::object();
-        nj.set("key", Json::of(k));
-        nj.set("value", Json::of(v));
-        notes.push(std::move(nj));
-    }
     Json top = Json::object();
     top.set("v", Json::of(1.0));
     top.set("values", std::move(values));
-    top.set("notes", std::move(notes));
     top.set("telemetry", Json::of(m.telemetry));
     return top;
+}
+
+/** @throws std::runtime_error when @p obj has no member @p key */
+const Json &
+member(const Json &obj, const char *key)
+{
+    const Json *v = obj.get(key);
+    if (!v)
+        throw std::runtime_error(std::string("metrics cache: no '") + key +
+                                 "' member");
+    return *v;
 }
 
 /** @throws std::runtime_error on schema mismatch */
@@ -76,30 +80,21 @@ Metrics
 metricsFromJson(const Json &j)
 {
     Metrics m;
-    const Json *values = j.isObject() ? j.get("values") : nullptr;
-    if (!values || !values->isArray())
-        throw std::runtime_error("metrics cache: no 'values' array");
-    for (std::size_t i = 0; i < values->size(); ++i) {
-        const Json &vj = values->at(i);
+    const Json &values = member(j, "values");
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        const Json &vj = values.at(i);
         MetricValue v;
-        v.key = vj.get("key")->asString();
-        v.value = vj.get("value")->asNumber();
-        v.checked = vj.get("checked")->asBool();
+        v.key = member(vj, "key").asString();
+        v.value = member(vj, "value").asNumber();
+        v.checked = member(vj, "checked").asBool();
         if (v.checked) {
             if (const Json *p = vj.get("paper"))
                 v.spec.paper = p->asNumber();
-            v.spec.paper_tol = vj.get("paper_tol")->asNumber();
-            v.spec.drift = vj.get("drift")->asNumber();
-            v.spec.note = vj.get("note")->asString();
+            v.spec.paper_tol = member(vj, "paper_tol").asNumber();
+            v.spec.drift = member(vj, "drift").asNumber();
+            v.spec.note = member(vj, "note").asString();
         }
         m.values.push_back(std::move(v));
-    }
-    if (const Json *notes = j.get("notes"); notes && notes->isArray()) {
-        for (std::size_t i = 0; i < notes->size(); ++i) {
-            const Json &nj = notes->at(i);
-            m.notes.emplace_back(nj.get("key")->asString(),
-                                 nj.get("value")->asString());
-        }
     }
     if (const Json *t = j.get("telemetry"); t && t->isString())
         m.telemetry = t->asString();
@@ -143,11 +138,6 @@ ValidationReport::logText() const
             appendf(text, "wrote %s\n", out.golden_path.c_str());
             continue;
         }
-        if (out.sampled) {
-            appendf(text, "est  %-22s %3zu metric(s), not golden-checked\n",
-                    out.name.c_str(), out.metrics.values.size());
-            continue;
-        }
         if (out.golden_error) {
             appendf(text, "FAIL %s: %s\n", out.name.c_str(),
                     out.error.c_str());
@@ -180,18 +170,6 @@ ValidationReport::jsonReport() const
     for (const auto &out : outcomes) {
         if (update || out.threw || out.golden_error)
             continue;
-        if (out.sampled) {
-            // Estimates carry raw metrics, no golden verdicts.
-            Json sj = Json::object();
-            sj.set("scenario", Json::of(out.name));
-            sj.set("sampled", Json::of(true));
-            Json vals = Json::object();
-            for (const auto &v : out.metrics.values)
-                vals.set(v.key, Json::of(v.value));
-            sj.set("metrics", std::move(vals));
-            results.push(std::move(sj));
-            continue;
-        }
         Json sj = Json::object();
         sj.set("scenario", Json::of(out.name));
         sj.set("ok", Json::of(out.result.ok()));
@@ -230,15 +208,9 @@ ValidationReport::exitCode() const
     return failed == 0 ? 0 : 1;
 }
 
-ValidationReport
-runValidation(const ValidationOptions &opts)
+std::vector<const Scenario *>
+selectScenarios(const ValidationOptions &opts)
 {
-    ValidationReport report;
-    report.update = opts.update;
-
-    const std::string golden_dir =
-        opts.golden_dir.empty() ? goldenDir() : opts.golden_dir;
-
     auto selected = [&opts](const Scenario &s) {
         if (opts.fast_only && !s.fast)
             return false;
@@ -249,12 +221,23 @@ runValidation(const ValidationOptions &opts)
                 return true;
         return false;
     };
-
     std::vector<const Scenario *> chosen;
     for (const auto &s : allScenarios())
         if (selected(s))
             chosen.push_back(&s);
+    return chosen;
+}
 
+ValidationReport
+runValidation(const ValidationOptions &opts)
+{
+    ValidationReport report;
+    report.update = opts.update;
+
+    const std::string golden_dir =
+        opts.golden_dir.empty() ? goldenDir() : opts.golden_dir;
+
+    const std::vector<const Scenario *> chosen = selectScenarios(opts);
     report.ran = unsigned(chosen.size());
     if (chosen.empty())
         return report;
@@ -274,7 +257,6 @@ runValidation(const ValidationOptions &opts)
             // and the returned outcome (DESIGN.md §10).
             ScenarioOutcome out;
             out.name = s->name;
-            out.sampled = opts.sample;
             // Resume: a cached metrics file stands in for the run. The
             // decision depends only on the filesystem at submission
             // time, so report bytes stay jobs-independent.
@@ -289,7 +271,6 @@ runValidation(const ValidationOptions &opts)
                 ScenarioOptions sopts;
                 sopts.config_hook = opts.config_hook;
                 sopts.jobs = point_jobs;
-                sopts.sample = opts.sample;
                 if (!opts.telemetry_dir.empty())
                     sopts.telemetry_interval = opts.telemetry_interval;
                 try {
@@ -301,8 +282,8 @@ runValidation(const ValidationOptions &opts)
                 }
             }
             out.golden_path = goldenPath(golden_dir, s->name);
-            if (opts.update || out.sampled)
-                return out; // golden written/skipped in the reduce
+            if (opts.update)
+                return out; // golden written in the reduce
             try {
                 out.result = checkAgainstGolden(loadGolden(out.golden_path),
                                                 out.metrics);

@@ -74,12 +74,6 @@ struct ValidationOptions
     std::string checkpoint_dir;
     /** Reuse cached metrics from checkpoint_dir instead of re-running. */
     bool resume = false;
-    /**
-     * Run scenarios in sampled-simulation mode (ScenarioOptions::
-     * sample). Sampled estimates are reported but never golden-checked
-     * (and never frozen): the golden files pin the full-detail path.
-     */
-    bool sample = false;
 };
 
 /** What happened to one scenario, in submission order. */
@@ -98,16 +92,8 @@ struct ScenarioOutcome
     Metrics metrics;
     /** Metrics came from the checkpoint-dir cache, not a fresh run. */
     bool resumed = false;
-    /** Run was a sampled estimate; golden checking was skipped. */
-    bool sampled = false;
 
-    bool
-    failed() const
-    {
-        if (threw || golden_error)
-            return true;
-        return sampled ? false : !result.ok();
-    }
+    bool failed() const { return threw || golden_error || !result.ok(); }
 };
 
 /** The full result of one validation pass. */
@@ -130,6 +116,12 @@ struct ValidationReport
     /** 2 when nothing matched, 0 for update mode, else failed?1:0. */
     int exitCode() const;
 };
+
+/**
+ * The scenarios @p opts selects (fast_only and name filters), in
+ * registration order — what runValidation() runs and `--list` shows.
+ */
+std::vector<const Scenario *> selectScenarios(const ValidationOptions &opts);
 
 /**
  * Run the selected scenarios and golden-check them.

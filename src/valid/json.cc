@@ -11,6 +11,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "sim/statreg.hh"
+
 namespace cedar::valid {
 
 namespace {
@@ -359,32 +361,6 @@ Json::members() const
     if (_type != Type::object)
         typeError("object", _type);
     return _object;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 namespace {

@@ -86,9 +86,6 @@ class Json
     std::vector<std::pair<std::string, Json>> _object;
 };
 
-/** Escape a string for embedding in JSON output (no quotes added). */
-std::string jsonEscape(const std::string &s);
-
 } // namespace cedar::valid
 
 #endif // CEDARSIM_VALID_JSON_HH

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "machine/cedar.hh"
+#include "sim/statreg.hh"
 
 namespace cedar::valid {
 
@@ -93,14 +94,8 @@ ScenarioContext::observe(machine::CedarMachine &m,
 {
     if (!telemetryEnabled())
         return;
-    std::string escaped;
-    for (char c : point) {
-        if (c == '"' || c == '\\')
-            escaped.push_back('\\');
-        escaped.push_back(c);
-    }
     _telemetry.write("{\"v\":1,\"kind\":\"point\",\"label\":\"" +
-                     escaped + "\"}");
+                     jsonEscape(point) + "\"}");
     TelemetryParams params;
     params.interval = _opts.telemetry_interval;
     m.enableTelemetry(params, _telemetry);

@@ -1,11 +1,11 @@
 /**
  * @file
- * The scenario registry: every reproduction bench, wrapped as a
- * headless parameterized run that emits structured metrics.
+ * The scenario registry: every reproduced table, figure and study as
+ * a headless run that emits structured metrics.
  *
  * A Scenario is the machine-checkable form of one EXPERIMENTS.md
- * section. Its run function drives the simulator exactly the way the
- * bench binary does, prints the same human-readable tables, and
+ * section. Its run function drives the simulator, prints the section's
+ * human-readable tables (shown by `cedar_validate --verbose`), and
  * records every number that EXPERIMENTS.md quotes as a *cell*: a
  * metric annotated with the paper's published value, an accepted
  * deviation band, and a provenance note. Cells are frozen into
@@ -74,8 +74,6 @@ struct MetricValue
 struct Metrics
 {
     std::vector<MetricValue> values;
-    /** String annotations (not checked; carried into bench JSON). */
-    std::vector<std::pair<std::string, std::string>> notes;
     /**
      * Interval-telemetry JSONL captured during the run (empty unless
      * ScenarioOptions::telemetry_interval was set). Records appear in
@@ -91,12 +89,6 @@ struct Metrics
 /** Options for one scenario run. */
 struct ScenarioOptions
 {
-    /**
-     * Positional size override from the bench command line; 0 keeps
-     * the scenario's canonical size. Golden checking only applies at
-     * the canonical size.
-     */
-    unsigned size = 0;
     /**
      * Applied to every machine configuration the scenario builds —
      * the injected-regression hook `cedar_validate --perturb` uses to
@@ -118,22 +110,12 @@ struct ScenarioOptions
      * serial (jobs() returns 1) so records land in point order.
      */
     Tick telemetry_interval = 0;
-    /**
-     * Sampled-simulation mode (`cedar_validate --sample`): scenarios
-     * with a phased workload estimate it through the live-point
-     * sampler (src/sample) instead of running every unit in detail.
-     * Estimates are not golden-checked — the driver reports their
-     * metrics without consulting the golden file — so the flag is an
-     * exploration/speed mode; the canonical sampled-agreement golden
-     * (sampled_rank64) stays pinned by the default path.
-     */
-    bool sample = false;
 };
 
 /**
  * Handed to a scenario's run function; collects cells and metrics.
  *
- * Not thread-safe by design: cell(), metric(), and note() must only be
+ * Not thread-safe by design: cell() and metric() must only be
  * called from the thread running the scenario. A sweep scenario that
  * fans its points out over jobs() workers returns plain values from
  * each point task and emits cells in a serial reduce afterwards, so
@@ -144,16 +126,6 @@ class ScenarioContext
 {
   public:
     explicit ScenarioContext(const ScenarioOptions &opts) : _opts(opts) {}
-
-    /** The canonical-or-overridden size parameter. */
-    unsigned
-    sizeOr(unsigned canonical) const
-    {
-        return _opts.size ? _opts.size : canonical;
-    }
-
-    /** True when the run uses canonical parameters (goldens apply). */
-    bool canonical() const { return _opts.size == 0; }
 
     /** Worker budget for the scenario's internal parameter sweep
      *  (forced to 1 while telemetry streams, to keep point order). */
@@ -167,9 +139,6 @@ class ScenarioContext
 
     /** True when interval telemetry is being captured. */
     bool telemetryEnabled() const { return _opts.telemetry_interval > 0; }
-
-    /** True when the run should estimate via sampled simulation. */
-    bool sampleMode() const { return _opts.sample; }
 
     /** The standard machine configuration with any perturbation. */
     machine::CedarConfig
@@ -193,13 +162,6 @@ class ScenarioContext
     metric(const std::string &key, double value)
     {
         _metrics.values.push_back({key, value, false, {}});
-    }
-
-    /** Record a string annotation. */
-    void
-    note(const std::string &key, const std::string &value)
-    {
-        _metrics.notes.emplace_back(key, value);
     }
 
     /** Record a golden-checked cell. */
@@ -236,7 +198,7 @@ class ScenarioContext
 /** One registered reproduction scenario. */
 struct Scenario
 {
-    /** Matches the bench binary and the golden file stem. */
+    /** The `--filter` name and the golden file stem. */
     std::string name;
     /** The EXPERIMENTS.md section this scenario reproduces. */
     std::string title;
@@ -262,8 +224,7 @@ Metrics runScenario(const Scenario &s, const ScenarioOptions &opts);
 
 /**
  * RAII stdout silencer: parks the stream in /dev/null so scenario
- * table printing disappears during headless validation runs (the same
- * trick core::BenchOutput uses for --json).
+ * table printing disappears from validation runs without --verbose.
  */
 class StdoutSilencer
 {

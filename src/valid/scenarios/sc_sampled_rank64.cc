@@ -58,11 +58,8 @@ strippedStats(machine::CedarMachine &m)
 void
 runSampledRank64(ScenarioContext &ctx)
 {
-    const unsigned n = ctx.sizeOr(192);
-    // --sample mode drops the full-detail reference and twin checks
-    // and estimates a 4x longer workload through the sampler alone —
-    // the speed-for-coverage trade the flag exists for.
-    const unsigned total_units = ctx.sampleMode() ? 24 : 6;
+    const unsigned n = 192;
+    const unsigned total_units = 6;
 
     kernels::Rank64Params params;
     params.n = n;
@@ -85,25 +82,6 @@ runSampledRank64(ScenarioContext &ctx)
     std::printf("Sampled simulation: %u-unit rank-64 workload "
                 "(n = %u, 2 clusters, GM/pref)\n\n",
                 total_units, n);
-
-    if (ctx.sampleMode()) {
-        sample::SampleParams sp;
-        sp.warmup_units = 2;
-        sp.min_windows = 3;
-        sp.target_rel_ci = 0.05;
-        sample::SampledRun est = sample::runSampled(factory, wl, sp);
-        std::printf("sampled estimate: %.2f MFLOPS over %u window(s) "
-                    "(rel CI %.4f, detail speedup %.2fx)\n",
-                    est.mean, est.windows, est.rel_ci,
-                    est.speedup_factor);
-        ctx.metric("n", n);
-        ctx.metric("total_units", total_units);
-        ctx.metric("estimate_mflops", est.mean);
-        ctx.metric("windows", est.windows);
-        ctx.metric("rel_ci", est.rel_ci);
-        ctx.metric("speedup_factor", est.speedup_factor);
-        return;
-    }
 
     // Reference: every unit in detail on one machine.
     std::vector<double> unit_rates;

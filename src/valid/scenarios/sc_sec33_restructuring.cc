@@ -122,7 +122,6 @@ runSec33(ScenarioContext &ctx)
              {1.0, 0.0, 0.0,
               "stated: privatization is the load-bearing "
               "transformation"});
-    ctx.note("worst_transformation", worst_name);
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Scenario: Table 1 — rank-64 update MFLOPS for the three memory
  * system versions on 1-4 clusters, plus the derived in-text
- * observations. Canonical size n = 768 (the EXPERIMENTS.md command);
- * the paper ran 1K.
+ * observations at n = 768 (the EXPERIMENTS.md command); the paper
+ * ran 1K.
  *
  * Paper bands follow EXPERIMENTS.md: GM/no-pref is systematically ~8%
  * low, GM/pref at 4 clusters is 12% low (the integer conflict-extra
@@ -35,7 +35,7 @@ const double paper_tols[3] = {0.12, 0.15, 0.08};
 void
 runTable1(ScenarioContext &ctx)
 {
-    const unsigned n = ctx.sizeOr(768);
+    const unsigned n = 768;
 
     std::printf("Table 1: MFLOPS for rank-64 update on Cedar (n = %u)\n",
                 n);

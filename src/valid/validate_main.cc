@@ -11,9 +11,11 @@
  * scenario's sweep, the right knob for the long sweeps. `--update-golden`
  * refreezes the golden files from the current build; `--perturb
  * key=value` injects a machine-model change to prove the suite
- * catches regressions.
+ * catches regressions. Under CEDAR_HOST_PROFILE=1 the top event kinds
+ * by exclusive host time follow the report on stderr.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "core/cedar.hh"
+#include "sim/hostprof.hh"
 #include "valid/driver.hh"
 #include "valid/golden.hh"
 #include "valid/json.hh"
@@ -60,8 +63,6 @@ usage(const char *argv0, int code)
         "DIR/<scenario>.metrics.json after each completed scenario\n"
         "  --resume             with --checkpoint-dir, reuse cached "
         "metrics instead of re-running completed scenarios\n"
-        "  --sample             estimate phased scenarios via the "
-        "live-point sampler (reported, not golden-checked)\n"
         "  --perturb KEY=VALUE  perturb the machine config "
         "(repeatable); e.g. gm.module_conflict_extra=3\n",
         argv0);
@@ -225,8 +226,6 @@ main(int argc, char **argv)
             vopts.checkpoint_dir = next("a directory");
         } else if (arg == "--resume") {
             vopts.resume = true;
-        } else if (arg == "--sample") {
-            vopts.sample = true;
         } else if (arg == "--telemetry-interval") {
             const char *v = next("a tick count");
             char *end = nullptr;
@@ -287,34 +286,20 @@ main(int argc, char **argv)
         std::fprintf(stderr, "--resume needs --checkpoint-dir\n");
         return 2;
     }
-    if (vopts.update && (vopts.resume || vopts.sample)) {
+    if (vopts.update && vopts.resume) {
         std::fprintf(stderr,
-                     "refusing --update-golden with --resume/--sample: "
-                     "goldens must be frozen from a fresh full-detail "
-                     "run\n");
+                     "refusing --update-golden with --resume: goldens "
+                     "must be frozen from a fresh run\n");
         return 2;
     }
 
     if (list) {
-        auto matches = [&](const Scenario &s) {
-            if (vopts.fast_only && !s.fast)
-                return false;
-            if (vopts.filters.empty())
-                return true;
-            for (const auto &f : vopts.filters)
-                if (s.name.find(f) != std::string::npos)
-                    return true;
-            return false;
-        };
-        unsigned shown = 0;
-        for (const auto &s : allScenarios()) {
-            if (!matches(s))
-                continue;
-            ++shown;
-            std::printf("%-22s %-5s %s\n", s.name.c_str(),
-                        s.fast ? "fast" : "slow", s.title.c_str());
+        const auto chosen = selectScenarios(vopts);
+        for (const Scenario *s : chosen) {
+            std::printf("%-22s %-5s %s\n", s->name.c_str(),
+                        s->fast ? "fast" : "slow", s->title.c_str());
         }
-        if (shown == 0) {
+        if (chosen.empty()) {
             std::fprintf(stderr, "no scenario matched the filter\n");
             return 2;
         }
@@ -333,6 +318,21 @@ main(int argc, char **argv)
     ValidationReport report = runValidation(vopts);
 
     std::fputs(report.logText().c_str(), stderr);
+    // Host-dependent, so never part of the report; the table is empty
+    // unless CEDAR_HOST_PROFILE=1 armed the engines.
+    const auto prof = HostProfiler::globalTable();
+    if (!prof.empty()) {
+        std::fprintf(stderr, "host profile (top event kinds by exclusive "
+                             "host time):\n");
+        for (std::size_t i = 0; i < std::min<std::size_t>(prof.size(), 10);
+             ++i) {
+            std::fprintf(stderr, "  %-24s %12llu dispatches %9.3f s\n",
+                         prof[i].kind.c_str(),
+                         static_cast<unsigned long long>(
+                             prof[i].dispatches),
+                         prof[i].seconds);
+        }
+    }
     if (json && !vopts.update)
         std::printf("%s\n", report.jsonReport().dump(2).c_str());
     return report.exitCode();

@@ -9,7 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "core/machine_report.hh"
 #include "machine/cedar.hh"
@@ -278,7 +283,19 @@ TEST(ChromeTrace, EmitsValidEventArray)
     runMonitoredLoop(machine);
     machine.disableMonitoring();
 
-    std::string json = chromeTraceJson(machine.monitor().tracer());
+    namespace fs = std::filesystem;
+    fs::path path = fs::temp_directory_path() /
+                    ("cedar_chrome_test_" + std::to_string(::getpid()) +
+                     ".json");
+    {
+        ChromeTraceStream stream(path.string());
+        stream.drain(machine.monitor().tracer());
+        ASSERT_TRUE(stream.close());
+    }
+    std::ifstream in(path);
+    std::string json((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    fs::remove(path);
     ASSERT_FALSE(json.empty());
     EXPECT_EQ(json.front(), '[');
     while (!json.empty() && std::isspace(json.back()))

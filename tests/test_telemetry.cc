@@ -215,6 +215,7 @@ TEST(Telemetry, SampleNowAndResumeAcrossPhases)
     }
     EXPECT_TRUE(sampler.finished());
     sampler.sampleNow("phase-boundary");
+    sampler.sampleNow("tab\there");
     sampler.resume();
     {
         TickActor actor(sim, work, 25);
@@ -223,17 +224,29 @@ TEST(Telemetry, SampleNowAndResumeAcrossPhases)
     }
     sampler.finish();
 
+    // A control character in a label is escaped, so strict parsers
+    // accept the record and the label round-trips.
+    bool escaped_tab = false;
+    for (const auto &line : sink.lines()) {
+        if (line.find(R"("kind":"tab\there")") != std::string::npos)
+            escaped_tab = true;
+    }
+    EXPECT_TRUE(escaped_tab);
+
     auto records = parseLines(sink);
-    bool saw_label = false;
+    bool saw_label = false, saw_tab_label = false;
     unsigned finals = 0;
     for (const auto &rec : records) {
         const std::string &kind = rec.get("kind")->asString();
         if (kind == "phase-boundary")
             saw_label = true;
+        if (kind == "tab\there")
+            saw_tab_label = true;
         if (kind == "final")
             ++finals;
     }
     EXPECT_TRUE(saw_label);
+    EXPECT_TRUE(saw_tab_label);
     EXPECT_EQ(finals, 2u);
     EXPECT_EQ(work.value(), 50u);
 }

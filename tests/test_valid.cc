@@ -301,26 +301,12 @@ TEST(ScenarioRegistry, EveryScenarioHasACheckedInGolden)
 // Scenario context and perturbation plumbing
 // ---------------------------------------------------------------------
 
-TEST(ScenarioContext, SizeOverrideDisablesCanonicalFlag)
-{
-    ScenarioOptions opts;
-    ScenarioContext canonical(opts);
-    EXPECT_TRUE(canonical.canonical());
-    EXPECT_EQ(canonical.sizeOr(768), 768u);
-
-    opts.size = 128;
-    ScenarioContext overridden(opts);
-    EXPECT_FALSE(overridden.canonical());
-    EXPECT_EQ(overridden.sizeOr(768), 128u);
-}
-
 TEST(ScenarioContext, MetricsFindAndAt)
 {
     ScenarioOptions opts;
     ScenarioContext ctx(opts);
     ctx.metric("plain", 1.0);
     ctx.cell("checked", 2.0, {2.0, 0.1, 1e-6, "n"});
-    ctx.note("label", "value");
     const auto &m = ctx.metrics();
     EXPECT_DOUBLE_EQ(m.at("plain"), 1.0);
     EXPECT_FALSE(m.find("plain")->checked);
@@ -328,8 +314,6 @@ TEST(ScenarioContext, MetricsFindAndAt)
     EXPECT_EQ(m.find("checked")->spec.note, "n");
     EXPECT_EQ(m.find("absent"), nullptr);
     EXPECT_THROW(m.at("absent"), std::runtime_error);
-    ASSERT_EQ(m.notes.size(), 1u);
-    EXPECT_EQ(m.notes[0].second, "value");
 }
 
 TEST(ScenarioContext, ConfigHookReachesStandardAndCustomConfigs)
