@@ -153,8 +153,7 @@ class ConcurrencyControlBus : public Named
   public:
     ConcurrencyControlBus(const std::string &name, Simulation &sim,
                           unsigned num_ces, const CcBusParams &params)
-        : Named(name), _sim(sim), _num_ces(num_ces), _params(params),
-          _bus(1)
+        : Named(name), _sim(sim), _num_ces(num_ces), _params(params)
     {
     }
 
@@ -179,7 +178,7 @@ class ConcurrencyControlBus : public Named
     dispatch(Tick now)
     {
         _dispatches.inc();
-        Tick start = _bus.acquire(now, 1);
+        Tick start = _bus.acquire(now, 1, bus_occupancy, bus_queue_words);
         DPRINTF(CCB, now, "iteration grant, held at ",
                 start + _params.dispatch_cycles);
         return start + _params.dispatch_cycles;
@@ -211,7 +210,7 @@ class ConcurrencyControlBus : public Named
         auto &sec = w.section(name());
         sec.counter("starts", _starts);
         sec.counter("dispatches", _dispatches);
-        _bus.saveFields(sec, "bus");
+        _bus.saveFields(sec, "bus", bus_occupancy);
     }
 
     void
@@ -220,10 +219,14 @@ class ConcurrencyControlBus : public Named
         const auto &sec = r.section(name());
         sec.counter("starts", _starts);
         sec.counter("dispatches", _dispatches);
-        _bus.restoreFields(sec, "bus");
+        _bus.restoreFields(sec, "bus", bus_occupancy);
     }
 
   private:
+    /** A grant holds the bus one cycle; waiting grants queue unbounded. */
+    static constexpr Cycles bus_occupancy = 1;
+    static constexpr unsigned bus_queue_words = 0;
+
     Simulation &_sim;
     unsigned _num_ces;
     CcBusParams _params;

@@ -10,6 +10,8 @@
 #ifndef CEDARSIM_MACHINE_CONFIG_HH
 #define CEDARSIM_MACHINE_CONFIG_HH
 
+#include <climits>
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -55,6 +57,11 @@ struct CedarConfig
             reject("machine needs at least one cluster");
         if (cluster.num_ces == 0)
             reject("cluster needs at least one CE");
+        if (std::uint64_t(num_clusters) * cluster.num_ces > UINT_MAX) {
+            reject(std::to_string(num_clusters) + " clusters of " +
+                   std::to_string(cluster.num_ces) +
+                   " CEs overflow the CE count");
+        }
         if (gm.num_modules == 0)
             reject("global memory needs at least one module");
         if ((gm.num_modules & (gm.num_modules - 1)) != 0) {
@@ -63,13 +70,12 @@ struct CedarConfig
                    std::to_string(gm.num_modules));
         }
         auto exact_power = [](unsigned ports, unsigned base) {
-            unsigned n = 1;
-            while (n < ports)
-                n *= base;
-            return n == ports;
+            while (ports > 1 && ports % base == 0)
+                ports /= base;
+            return ports == 1;
         };
         if (gm.topology == "omega") {
-            unsigned ports = 1;
+            std::uint64_t ports = 1;
             for (unsigned r : gm.stage_radices) {
                 if (r < 2) {
                     reject("network stage radix must be at least 2, "
@@ -77,6 +83,8 @@ struct CedarConfig
                            std::to_string(r));
                 }
                 ports *= r;
+                if (ports > UINT_MAX)
+                    reject("stage radices overflow the port count");
             }
             if (ports != gm.num_ports) {
                 reject("stage radices cover " + std::to_string(ports) +
@@ -144,7 +152,7 @@ struct CedarConfig
         cfg.num_clusters = clusters;
         cfg.gm.num_ports = clusters * cfg.cluster.num_ces;
         unsigned modules = 1;
-        while (modules * 2 <= cfg.gm.num_ports)
+        while (modules <= cfg.gm.num_ports / 2)
             modules *= 2;
         cfg.gm.num_modules = modules;
         cfg.gm.topology = topology;

@@ -16,12 +16,11 @@ unsigned
 levelsFor(unsigned ports, unsigned arity)
 {
     unsigned levels = 0;
-    unsigned n = 1;
-    while (n < ports) {
-        n *= arity;
+    while (ports > 1 && ports % arity == 0) {
+        ports /= arity;
         ++levels;
     }
-    return n == ports ? levels : 0;
+    return ports == 1 ? levels : 0;
 }
 
 unsigned

@@ -6,6 +6,8 @@
 
 #include "topology.hh"
 
+#include <stdexcept>
+
 #include "net/crossbar.hh"
 #include "net/fattree.hh"
 #include "net/omega.hh"
@@ -38,12 +40,25 @@ void
 Topology::initStages(unsigned count, unsigned port_queue_words)
 {
     sim_assert(count >= 1, "network needs at least one stage");
-    sim_assert(_stages.empty(), "stages already initialized");
-    _stages.reserve(count);
-    for (unsigned s = 0; s < count; ++s) {
-        _stages.emplace_back(_num_ports,
-                             LinkPort(_word_occupancy, port_queue_words));
+    sim_assert(_ports.empty(), "stages already initialized");
+    _queue_words = port_queue_words;
+    _ports.resize(std::size_t(count) * _num_ports);
+}
+
+const LinkPort &
+Topology::port(unsigned stage, unsigned index) const
+{
+    if (stage >= numStages()) {
+        throw std::out_of_range(name() + ": stage " +
+                                std::to_string(stage) + " of " +
+                                std::to_string(numStages()));
     }
+    if (index >= _num_ports) {
+        throw std::out_of_range(name() + ": port " +
+                                std::to_string(index) + " of " +
+                                std::to_string(_num_ports));
+    }
+    return _ports[std::size_t(stage) * _num_ports + index];
 }
 
 TraversalResult
@@ -53,16 +68,18 @@ Topology::traverseOnce(unsigned in_port, unsigned dest, unsigned words,
     Tick t = inject + _entry_delay;
     Cycles queueing = 0;
     for (auto [stage, idx] : path(in_port, dest)) {
-        LinkPort &port = _stages[stage][idx];
+        LinkPort &port = _ports[std::size_t(stage) * _num_ports + idx];
         // Flow control: a bounded downstream queue holds the head
         // upstream until it has room. Entry can be delayed at most to
         // the port's busy horizon, so the start tick — and therefore
         // end-to-end timing — is unchanged; only where the wait is
         // spent (and who observes it) moves.
-        Tick entry = std::max(t, port.entryFree());
+        Tick entry =
+            std::max(t, port.entryFree(_word_occupancy, _queue_words));
         if (entry > t)
             _backpressure.inc();
-        Tick start = port.acquire(entry, words);
+        Tick start = port.acquire(entry, words, _word_occupancy,
+                                  _queue_words);
         queueing += start - t;
         t = start + _hop_latency;
     }
@@ -121,10 +138,7 @@ Topology::registerStats(StatRegistry &reg)
         return static_cast<double>(deliveredWords());
     });
     reg.addScalar(child("busy_cycles"), [this] {
-        Tick busy = 0;
-        for (const LinkPort &p : _stages.back())
-            busy += p.busyCycles();
-        return static_cast<double>(busy);
+        return static_cast<double>(deliveredWords() * _word_occupancy);
     });
     reg.addCounter(child("retransmits"), _retransmits);
     reg.addCounter(child("backpressure_stalls"), _backpressure);
@@ -134,17 +148,16 @@ std::uint64_t
 Topology::deliveredWords() const
 {
     std::uint64_t total = 0;
-    for (const LinkPort &p : _stages.back())
-        total += p.wordCount();
+    for (auto p = _ports.end() - _num_ports; p != _ports.end(); ++p)
+        total += p->wordCount();
     return total;
 }
 
 void
 Topology::resetStats()
 {
-    for (auto &stage : _stages)
-        for (auto &p : stage)
-            p.resetStats();
+    for (LinkPort &p : _ports)
+        p.resetStats();
     _queueing.reset();
     _retransmits.reset();
     _backpressure.reset();
@@ -157,12 +170,8 @@ Topology::saveState(CheckpointWriter &w) const
     sec.sample("queueing", _queueing);
     sec.counter("retransmits", _retransmits);
     sec.counter("backpressure_stalls", _backpressure);
-    for (std::size_t s = 0; s < _stages.size(); ++s) {
-        for (std::size_t p = 0; p < _stages[s].size(); ++p) {
-            _stages[s][p].saveFields(sec, "s" + std::to_string(s) +
-                                              ".p" + std::to_string(p));
-        }
-    }
+    for (std::size_t i = 0; i < _ports.size(); ++i)
+        _ports[i].saveFields(sec, portKey(i), _word_occupancy);
 }
 
 void
@@ -172,13 +181,20 @@ Topology::restoreState(const CheckpointReader &r)
     sec.sample("queueing", _queueing);
     sec.counter("retransmits", _retransmits);
     sec.counter("backpressure_stalls", _backpressure);
-    for (std::size_t s = 0; s < _stages.size(); ++s) {
-        for (std::size_t p = 0; p < _stages[s].size(); ++p) {
-            _stages[s][p].restoreFields(sec, "s" + std::to_string(s) +
-                                                 ".p" +
-                                                 std::to_string(p));
-        }
-    }
+    for (std::size_t i = 0; i < _ports.size(); ++i)
+        _ports[i].restoreFields(sec, portKey(i), _word_occupancy);
+}
+
+std::string
+Topology::portKey(std::size_t i) const
+{
+    // Appended piecewise: GCC 12 misreads "literal" + std::string&&
+    // as an overlapping copy (-Wrestrict).
+    std::string key = "s";
+    key += std::to_string(i / _num_ports);
+    key += ".p";
+    key += std::to_string(i % _num_ports);
+    return key;
 }
 
 std::unique_ptr<Topology>

@@ -63,8 +63,14 @@ class Topology : public Named, public Checkpointable
     /** Number of link stages. */
     unsigned numStages() const
     {
-        return static_cast<unsigned>(_stages.size());
+        return static_cast<unsigned>(_ports.size() / _num_ports);
     }
+
+    /** Cycles one word occupies any output port of this fabric. */
+    Cycles wordOccupancy() const { return _word_occupancy; }
+
+    /** Words of backlog every port queue buffers (0 = unbounded). */
+    unsigned portQueueWords() const { return _queue_words; }
 
     /** Short topology family name ("omega", "fattree", "crossbar"). */
     virtual const char *kindName() const = 0;
@@ -98,11 +104,12 @@ class Topology : public Named, public Checkpointable
     TraversalResult traverse(unsigned in_port, unsigned dest,
                              unsigned words, Tick inject);
 
-    /** Port object, for tests and utilization reports. */
-    const LinkPort &port(unsigned stage, unsigned index) const
-    {
-        return _stages.at(stage).at(index);
-    }
+    /**
+     * Output port @p index of stage @p stage, for tests and utilization
+     * reports. Throws std::out_of_range for a stage or an index past
+     * the fabric's shape.
+     */
+    const LinkPort &port(unsigned stage, unsigned index) const;
 
     /** Aggregate words moved through the final stage (delivered). */
     std::uint64_t deliveredWords() const;
@@ -152,7 +159,10 @@ class Topology : public Named, public Checkpointable
              Cycles hop_latency, Cycles word_occupancy,
              Cycles entry_delay = 0);
 
-    /** Build @p count stages of numPorts() bounded-queue link ports. */
+    /**
+     * Build @p count stages of numPorts() link ports, each queueing
+     * @p port_queue_words words (0 = unbounded).
+     */
     void initStages(unsigned count, unsigned port_queue_words);
 
     Cycles hopLatency() const { return _hop_latency; }
@@ -162,12 +172,20 @@ class Topology : public Named, public Checkpointable
     TraversalResult traverseOnce(unsigned in_port, unsigned dest,
                                  unsigned words, Tick inject);
 
+    /** Snapshot key prefix of _ports[i]: "s<stage>.p<port>". */
+    std::string portKey(std::size_t i) const;
+
     unsigned _num_ports;
     Cycles _hop_latency;
     Cycles _word_occupancy;
     Cycles _entry_delay;
-    /** _stages[s][p]: output port p of stage s (p in [0, numPorts)). */
-    std::vector<std::vector<LinkPort>> _stages;
+    unsigned _queue_words = 0;
+    /**
+     * Every output port, stage-major: port p of stage s is
+     * _ports[s * numPorts() + p]. One flat array spares every hop the
+     * per-stage vector's indirection.
+     */
+    std::vector<LinkPort> _ports;
     SampleStat _queueing;
     Counter _retransmits;
     Counter _backpressure;

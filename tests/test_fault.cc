@@ -140,6 +140,52 @@ TEST(ConfigValidation, StandardMachineValidates)
     EXPECT_NO_THROW(machine::CedarConfig::standard().validate());
 }
 
+namespace {
+
+void
+expectConfigError(const machine::CedarConfig &cfg)
+{
+    try {
+        cfg.validate();
+        FAIL() << "validate accepted the config";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), SimError::Kind::config);
+    }
+}
+
+} // namespace
+
+// Power-of-two searches past 2^31 ports must not wrap to zero and
+// spin; none of these configs is ever built.
+TEST(ConfigValidation, PortCountSearchesTerminatePastTwoToThe31)
+{
+    auto cfg = machine::CedarConfig::scaled(300'000'000, "fattree");
+    EXPECT_EQ(cfg.gm.num_ports, 2'400'000'000u);
+    EXPECT_EQ(cfg.gm.num_modules, 1u << 31);
+    expectConfigError(cfg); // not a power of 8, 4 or 2
+
+    cfg = machine::CedarConfig::standard();
+    cfg.gm.topology = "fattree";
+    cfg.gm.num_ports = 3'000'000'000u;
+    expectConfigError(cfg);
+    cfg.gm.fat_tree_arity = 2;
+    expectConfigError(cfg);
+}
+
+TEST(ConfigValidation, RejectsCeAndRadixProductsThatOverflow)
+{
+    // 600M clusters x 8 CEs wraps to 505,032,704, which scaled() also
+    // gives the network, so only the overflow itself can be caught.
+    expectConfigError(machine::CedarConfig::scaled(600'000'000));
+
+    // 65536 x 65537 wraps to 65536 ports, matching 8192 clusters.
+    machine::CedarConfig cfg;
+    cfg.num_clusters = 8192;
+    cfg.gm.num_ports = 65536;
+    cfg.gm.stage_radices = {65536, 65537};
+    expectConfigError(cfg);
+}
+
 // ------------------------------------------------------------- fault spec
 
 TEST(FaultSpecParse, RoundTrips)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "net/omega.hh"
 
@@ -99,6 +100,8 @@ TEST(Omega, RejectsBadPorts)
     auto net = cedarNet();
     EXPECT_THROW(net.routingTag(32), std::logic_error);
     EXPECT_THROW(net.path(32, 0), std::logic_error);
+    EXPECT_THROW(net.port(2, 0), std::out_of_range);
+    EXPECT_THROW(net.port(0, 32), std::out_of_range);
 }
 
 TEST(Omega, DeliveredWordsCounts)
@@ -117,7 +120,7 @@ TEST(Omega, UtilizationTracksBusyCycles)
     auto hops = net.path(0, 0);
     net.traverse(0, 0, 4, 0);
     const auto &port = net.port(hops[0].first, hops[0].second);
-    EXPECT_EQ(port.busyCycles(), 4u);
+    EXPECT_EQ(port.busyCycles(net.wordOccupancy()), 4u);
     EXPECT_EQ(port.packetCount(), 1u);
 }
 
@@ -172,26 +175,29 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LinkPortQueue, TwoWordCapacityIsAHardInvariant)
 {
-    net::LinkPort port(1, 2);
-    EXPECT_EQ(port.queueCapacityWords(), 2u);
-    EXPECT_EQ(port.entryFree(), 0u);
-    port.acquire(0, 2);                  // transmits immediately
-    EXPECT_EQ(port.entryFree(), 0u);     // backlog exactly at capacity
-    port.acquire(0, 2);                  // fills the two-word queue
-    EXPECT_EQ(port.entryFree(), 2u);     // room only once a word drains
+    // The fabric owns the occupancy and queue depth of its ports.
+    EXPECT_EQ(cedarNet().portQueueWords(), 2u);
+    constexpr Cycles occ = 1;
+    constexpr unsigned queue = 2;
+    net::LinkPort port;
+    EXPECT_EQ(port.entryFree(occ, queue), 0u);
+    port.acquire(0, 2, occ, queue);             // transmits immediately
+    EXPECT_EQ(port.entryFree(occ, queue), 0u);  // backlog at capacity
+    port.acquire(0, 2, occ, queue);             // fills the queue
+    EXPECT_EQ(port.entryFree(occ, queue), 2u);  // room once a word drains
     // Handing the port a third packet now would overflow the hardware
     // queue; the port rejects it rather than buffering words it cannot
     // hold.
-    EXPECT_THROW(port.acquire(0, 2), std::logic_error);
-    EXPECT_NO_THROW(port.acquire(port.entryFree(), 2));
+    EXPECT_THROW(port.acquire(0, 2, occ, queue), std::logic_error);
+    EXPECT_NO_THROW(port.acquire(port.entryFree(occ, queue), 2, occ, queue));
 }
 
 TEST(LinkPortQueue, UnboundedPortNeverBackpressures)
 {
-    net::LinkPort port(1, 0);
+    net::LinkPort port;
     for (int i = 0; i < 16; ++i)
-        port.acquire(0, 4); // arbitrarily deep backlog is accepted
-    EXPECT_EQ(port.entryFree(), 0u);
+        port.acquire(0, 4, 1, 0); // arbitrarily deep backlog is accepted
+    EXPECT_EQ(port.entryFree(1, 0), 0u);
 }
 
 TEST(Omega, BackpressureCountsStallsWithoutChangingTiming)

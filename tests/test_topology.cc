@@ -20,6 +20,7 @@
 #include "net/fattree.hh"
 #include "net/omega.hh"
 #include "net/topology.hh"
+#include "sim/checkpoint.hh"
 #include "sim/error.hh"
 #include "sim/random.hh"
 
@@ -298,6 +299,15 @@ TEST(Topology, FactoryRejectsImpossibleShapes)
     p.num_ports = 64;
     p.fat_tree_arity = 5; // 64 is not a power of 5
     expect_config_error(p);
+
+    // Past 2^31 ports, arity^levels would wrap before reaching the
+    // port count; the arity check must still terminate and reject.
+    p = TopologyParams{};
+    p.kind = "fattree";
+    p.num_ports = 3'000'000'000u;
+    expect_config_error(p);
+    p.fat_tree_arity = 2;
+    expect_config_error(p);
 }
 
 // The combined variant routes responses back through the forward
@@ -323,11 +333,36 @@ TEST(Topology, CombinedNetAliasesForwardFabric)
 }
 
 // A topology served through GlobalMemory must keep the checkpoint
-// round trip exact (the port clocks live in the topology base now).
-TEST(Topology, FatTreeGlobalMemoryCheckpointRoundTrips)
+// round trip exact (the port clocks live in the topology base), and
+// its snapshot bytes must not drift: each fabric's length and CRC-32
+// are pinned, so a changed port layout or key cannot go unnoticed.
+namespace {
+
+struct FrozenSnapshot
+{
+    std::string topology;
+    std::size_t bytes;
+    std::uint32_t crc;
+};
+
+/** Names each case by its fabric, so test names are stable. */
+void
+PrintTo(const FrozenSnapshot &s, std::ostream *os)
+{
+    *os << s.topology;
+}
+
+} // namespace
+
+class GlobalMemoryCheckpoint
+    : public ::testing::TestWithParam<FrozenSnapshot>
+{
+};
+
+TEST_P(GlobalMemoryCheckpoint, RoundTripsWithFrozenBytes)
 {
     mem::GlobalMemoryParams p;
-    p.topology = "fattree";
+    p.topology = GetParam().topology;
     mem::GlobalMemory gm("gm", p);
     for (unsigned i = 0; i < 20; ++i)
         gm.read(i % gm.numPorts(), mem::globalAddr(3 * i), 10 * i);
@@ -335,6 +370,10 @@ TEST(Topology, FatTreeGlobalMemoryCheckpointRoundTrips)
     CheckpointWriter w(200);
     gm.saveState(w);
     std::string snap = w.finish();
+    // The CRC of the bytes before the trailer: a CRC over a message
+    // that ends in its own CRC is the same constant for every snapshot.
+    EXPECT_EQ(snap.size(), GetParam().bytes);
+    EXPECT_EQ(crc32(snap.data(), snap.size() - 4), GetParam().crc);
 
     mem::GlobalMemory fresh("gm", p);
     CheckpointReader r(snap);
@@ -342,4 +381,62 @@ TEST(Topology, FatTreeGlobalMemoryCheckpointRoundTrips)
     CheckpointWriter w2(200);
     fresh.saveState(w2);
     EXPECT_EQ(snap, w2.finish());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fabrics, GlobalMemoryCheckpoint,
+    ::testing::Values(FrozenSnapshot{"omega", 43566, 574949828u},
+                      FrozenSnapshot{"fattree", 176110, 1461529975u},
+                      FrozenSnapshot{"crossbar", 26998, 3122653423u}));
+
+namespace {
+
+/**
+ * A hand-written section for a two-port crossbar whose port 0 carried
+ * one 3-word packet at 2 cycles per word, with its busy cycles and
+ * packet count written as given.
+ */
+std::string
+crossbarSnapshot(std::uint64_t busy_cycles, std::uint64_t packets)
+{
+    SampleStat none;
+    SampleStat one_wait;
+    one_wait.sample(0.0);
+    CheckpointWriter w(0);
+    auto &sec = w.section("xb");
+    sec.sample("queueing", none);
+    sec.u64("retransmits", 0);
+    sec.u64("backpressure_stalls", 0);
+    for (unsigned p = 0; p < 2; ++p) {
+        std::string key = "s0.p" + std::to_string(p);
+        sec.u64(key + ".next_free", p == 0 ? 6 : 0);
+        sec.u64(key + ".busy_cycles", p == 0 ? busy_cycles : 0);
+        sec.u64(key + ".words", p == 0 ? 3 : 0);
+        sec.u64(key + ".packets", p == 0 ? packets : 0);
+        sec.sample(key + ".wait", p == 0 ? one_wait : none);
+    }
+    return w.finish();
+}
+
+} // namespace
+
+// Busy cycles are words x occupancy and packets are the waits sampled;
+// a snapshot that says otherwise was not written by this model.
+TEST(Topology, RestoreRefusesPortStatsThatDisagreeWithWordsAndWaits)
+{
+    auto restore = [](const std::string &snap) {
+        CrossbarNetwork xb("xb", 2, 1, 2);
+        xb.restoreState(CheckpointReader(snap));
+        return xb.port(0, 0).nextFree();
+    };
+    EXPECT_EQ(restore(crossbarSnapshot(6, 1)), 6u);
+    for (const std::string &snap :
+         {crossbarSnapshot(3, 1), crossbarSnapshot(6, 2)}) {
+        try {
+            restore(snap);
+            FAIL() << "restore accepted inconsistent port statistics";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimError::Kind::checkpoint);
+        }
+    }
 }
