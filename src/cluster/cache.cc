@@ -204,19 +204,19 @@ SharedCache::saveState(CheckpointWriter &w) const
     _bandwidth.saveFields(sec, "bandwidth");
     // Tag store as one blob: 17 bytes per way (tag, lru, flag bits),
     // sets outer, ways inner — the geometry is config-determined.
-    std::string blob;
-    blob.reserve(std::size_t(_num_sets) * _params.ways * 17);
+    std::string blob(std::size_t(_num_sets) * _params.ways * 17, '\0');
+    auto *p = reinterpret_cast<unsigned char *>(blob.data());
     for (const auto &set : _sets) {
         for (const Way &way : set) {
             for (int i = 0; i < 8; ++i)
-                blob.push_back(char((way.tag >> (8 * i)) & 0xFF));
+                p[i] = static_cast<unsigned char>(way.tag >> (8 * i));
             for (int i = 0; i < 8; ++i)
-                blob.push_back(char((way.lru >> (8 * i)) & 0xFF));
-            blob.push_back(char((way.valid ? 1 : 0) |
-                                (way.dirty ? 2 : 0)));
+                p[8 + i] = static_cast<unsigned char>(way.lru >> (8 * i));
+            p[16] = (way.valid ? 1 : 0) | (way.dirty ? 2 : 0);
+            p += 17;
         }
     }
-    sec.bytes("tag_store", blob);
+    sec.bytes("tag_store", std::move(blob));
 }
 
 void

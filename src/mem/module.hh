@@ -173,17 +173,18 @@ class MemoryModule : public Named, public Checkpointable
         std::vector<std::pair<Addr, std::int32_t>> cells(_cells.begin(),
                                                          _cells.end());
         std::sort(cells.begin(), cells.end());
-        std::string blob;
-        blob.reserve(cells.size() * 12);
+        std::string blob(cells.size() * 12, '\0');
+        auto *p = reinterpret_cast<unsigned char *>(blob.data());
         for (const auto &[addr, value] : cells) {
             for (int i = 0; i < 8; ++i)
-                blob.push_back(char((addr >> (8 * i)) & 0xFF));
+                p[i] = static_cast<unsigned char>(addr >> (8 * i));
             auto uv = static_cast<std::uint32_t>(value);
             for (int i = 0; i < 4; ++i)
-                blob.push_back(char((uv >> (8 * i)) & 0xFF));
+                p[8 + i] = static_cast<unsigned char>(uv >> (8 * i));
+            p += 12;
         }
         sec.u64("cell_count", cells.size());
-        sec.bytes("cells", blob);
+        sec.bytes("cells", std::move(blob));
     }
 
     void
@@ -199,11 +200,14 @@ class MemoryModule : public Named, public Checkpointable
         sec.sample("wait", _wait);
         std::uint64_t count = sec.u64("cell_count");
         const std::string &blob = sec.bytes("cells");
-        if (blob.size() != count * 12) {
+        // Divide rather than multiply: count * 12 wraps for a damaged
+        // count near 2^64 / 12.
+        if (blob.size() % 12 != 0 || blob.size() / 12 != count) {
             checkpointError(name(), "cell blob is " +
                                         std::to_string(blob.size()) +
                                         " bytes but cell_count says " +
-                                        std::to_string(count * 12));
+                                        std::to_string(count) +
+                                        " 12-byte cells");
         }
         _cells.clear();
         _cells.reserve(count);

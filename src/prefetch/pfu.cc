@@ -6,6 +6,7 @@
 #include "pfu.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "sim/trace.hh"
 
@@ -297,11 +298,13 @@ namespace {
 std::string
 packTicks(const std::vector<Tick> &v)
 {
-    std::string blob;
-    blob.reserve(v.size() * 8);
-    for (Tick t : v)
+    std::string blob(v.size() * 8, '\0');
+    auto *p = reinterpret_cast<unsigned char *>(blob.data());
+    for (Tick t : v) {
         for (int i = 0; i < 8; ++i)
-            blob.push_back(char((t >> (8 * i)) & 0xFF));
+            p[i] = static_cast<unsigned char>(t >> (8 * i));
+        p += 8;
+    }
     return blob;
 }
 
@@ -348,7 +351,7 @@ PrefetchUnit::saveState(CheckpointWriter &w) const
     std::string mask(_mask.size(), '\0');
     for (std::size_t i = 0; i < _mask.size(); ++i)
         mask[i] = _mask[i] ? 1 : 0;
-    sec.bytes("mask", mask);
+    sec.bytes("mask", std::move(mask));
     sec.counter("requests", _requests);
     sec.counter("page_crossings", _page_crossings);
     sec.sample("latency", _latency);
@@ -359,19 +362,56 @@ void
 PrefetchUnit::restoreState(const CheckpointReader &r)
 {
     const auto &sec = r.section(name());
+    auto narrow = [&](const char *key) {
+        std::uint64_t v = sec.u64(key);
+        if (v > std::numeric_limits<unsigned>::max()) {
+            checkpointError(name(), std::string("field '") + key +
+                                        "' is " + std::to_string(v) +
+                                        ", past the unsigned range");
+        }
+        return static_cast<unsigned>(v);
+    };
+    // Restore only what an arming path (beginFire, fireMasked,
+    // fireSynthetic) can leave behind: later queries index the
+    // arrival and mask buffers by word, up to length.
+    unsigned stride = narrow("stride");
+    unsigned length = narrow("length");
+    unsigned next_issue = narrow("next_issue");
+    unsigned arrived = narrow("arrived");
+    unsigned enabled_count = narrow("enabled_count");
+    std::vector<Tick> arrivals =
+        unpackTicks(sec.bytes("arrivals"), name(), "arrivals");
+    const std::string &mask = sec.bytes("mask");
+    auto refuse = [&](const std::string &what) {
+        checkpointError(name(), what + " (length " +
+                                    std::to_string(length) + ")");
+    };
+    if (length > _params.buffer_words) {
+        refuse("prefetch exceeds the " +
+               std::to_string(_params.buffer_words) + "-word buffer");
+    }
+    if (arrivals.size() != length)
+        refuse(std::to_string(arrivals.size()) + " arrival ticks");
+    if (!mask.empty() && mask.size() != length)
+        refuse(std::to_string(mask.size()) + "-byte mask");
+    if (next_issue > length || arrived > length || enabled_count > length) {
+        refuse("next_issue " + std::to_string(next_issue) + ", arrived " +
+               std::to_string(arrived) + ", enabled_count " +
+               std::to_string(enabled_count) + " overrun the prefetch");
+    }
+
     if (_issue_event.scheduled())
         _sim.deschedule(_issue_event);
     _queries.clear();
     _start = sec.u64("start");
-    _stride = static_cast<unsigned>(sec.u64("stride"));
-    _length = static_cast<unsigned>(sec.u64("length"));
-    _next_issue = static_cast<unsigned>(sec.u64("next_issue"));
-    _arrived = static_cast<unsigned>(sec.u64("arrived"));
-    _enabled_count = static_cast<unsigned>(sec.u64("enabled_count"));
-    _arrivals = unpackTicks(sec.bytes("arrivals"), name(), "arrivals");
+    _stride = stride;
+    _length = length;
+    _next_issue = next_issue;
+    _arrived = arrived;
+    _enabled_count = enabled_count;
+    _arrivals = std::move(arrivals);
     _request_arrivals = unpackTicks(sec.bytes("request_arrivals"), name(),
                                     "request_arrivals");
-    const std::string &mask = sec.bytes("mask");
     _mask.assign(mask.size(), false);
     for (std::size_t i = 0; i < mask.size(); ++i)
         _mask[i] = mask[i] != 0;

@@ -154,7 +154,9 @@ class PrefetchUnit : public Named
     /**
      * Arm state, buffer arrival records (a live block may be reused
      * after restore via canReuse), and statistics. Requires a quiescent
-     * PFU: no pending issue event and no outstanding queries.
+     * PFU: no pending issue event and no outstanding queries. Restore
+     * refuses, as a `checkpoint` SimError, lengths and counts that no
+     * fire could have left (past the buffer or the arrival records).
      */
     void saveState(CheckpointWriter &w) const;
     void restoreState(const CheckpointReader &r);

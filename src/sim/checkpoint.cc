@@ -6,6 +6,7 @@
 
 #include "checkpoint.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -23,47 +24,58 @@ namespace {
 constexpr std::size_t max_name_len = 4096;
 constexpr std::size_t max_key_len = 4096;
 
-const std::uint32_t *
-crcTable()
+/**
+ * Slicing-by-8 tables: t[0] is the byte-at-a-time table, and t[k][i]
+ * is the CRC register contribution of byte i followed by k zero bytes,
+ * so one step folds eight input bytes with eight lookups. Plain arrays
+ * keep unoptimized builds fast too.
+ */
+struct CrcTables
 {
-    static const auto table = [] {
-        static std::uint32_t t[256];
+    std::uint32_t t[8][256];
+};
+
+const CrcTables &
+crcTables()
+{
+    static const CrcTables tables = [] {
+        CrcTables c{};
         for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
+            std::uint32_t v = i;
             for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+                v = (v & 1) ? 0xEDB88320u ^ (v >> 1) : v >> 1;
+            c.t[0][i] = v;
         }
-        return t;
+        for (int k = 1; k < 8; ++k)
+            for (int i = 0; i < 256; ++i)
+                c.t[k][i] = (c.t[k - 1][i] >> 8) ^
+                            c.t[0][c.t[k - 1][i] & 0xFF];
+        return c;
     }();
-    return table;
+    return tables;
 }
 
-void
-putU8(std::string &out, std::uint8_t v)
+std::uint32_t
+loadU32(const unsigned char *p)
 {
-    out.push_back(static_cast<char>(v));
+    return std::uint32_t(p[0]) | (std::uint32_t(p[1]) << 8) |
+           (std::uint32_t(p[2]) << 16) | (std::uint32_t(p[3]) << 24);
 }
 
+/** Store the low @p n bytes of @p v little-endian at @p dst. */
 void
-putU16(std::string &out, std::uint16_t v)
+storeLE(char *dst, std::uint64_t v, int n)
 {
-    out.push_back(static_cast<char>(v & 0xFF));
-    out.push_back(static_cast<char>((v >> 8) & 0xFF));
+    for (int i = 0; i < n; ++i)
+        dst[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
 }
 
+/** Append the low @p n bytes of @p v little-endian. */
 void
-putU32(std::string &out, std::uint32_t v)
+putLE(std::string &out, std::uint64_t v, int n)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    out.append(std::size_t(n), '\0');
+    storeLE(&out[out.size() - std::size_t(n)], v, n);
 }
 
 /** Bounds-checked little-endian cursor over the snapshot bytes. */
@@ -74,10 +86,11 @@ struct Cursor
     std::size_t pos = 0;
     const char *what; ///< context for error messages
 
+    /** pos <= len always holds, so len - pos cannot wrap. */
     void
-    need(std::size_t n, const char *field)
+    need(std::uint64_t n, const char *field)
     {
-        if (pos + n > len) {
+        if (n > len - pos) {
             checkpointError(what,
                             std::string("truncated snapshot: ") + field +
                                 " needs " + std::to_string(n) +
@@ -86,54 +99,44 @@ struct Cursor
         }
     }
 
-    std::uint8_t
-    u8(const char *field)
+    /** The next @p n bytes, in place. */
+    const unsigned char *
+    take(std::uint64_t n, const char *field)
     {
-        need(1, field);
-        return p[pos++];
+        need(n, field);
+        const unsigned char *at = p + pos;
+        pos += n;
+        return at;
     }
 
-    std::uint16_t
-    u16(const char *field)
+    /** The next sizeof(T) bytes as a little-endian integer. */
+    template <typename T>
+    T
+    le(const char *field)
     {
-        need(2, field);
-        std::uint16_t v = std::uint16_t(p[pos]) |
-                          (std::uint16_t(p[pos + 1]) << 8);
-        pos += 2;
-        return v;
-    }
-
-    std::uint32_t
-    u32(const char *field)
-    {
-        need(4, field);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= std::uint32_t(p[pos + i]) << (8 * i);
-        pos += 4;
-        return v;
-    }
-
-    std::uint64_t
-    u64(const char *field)
-    {
-        need(8, field);
+        const unsigned char *at = take(sizeof(T), field);
         std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= std::uint64_t(p[pos + i]) << (8 * i);
-        pos += 8;
-        return v;
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            v |= std::uint64_t(at[i]) << (8 * i);
+        return static_cast<T>(v);
     }
 
     std::string
-    raw(std::size_t n, const char *field)
+    str(std::uint64_t n, const char *field)
     {
-        need(n, field);
-        std::string v(reinterpret_cast<const char *>(p + pos), n);
-        pos += n;
-        return v;
+        return std::string(reinterpret_cast<const char *>(take(n, field)),
+                           n);
     }
 };
+
+/** Encoded size of one field: tag, key length, key, payload. */
+std::size_t
+encodedSize(const CheckpointField &f)
+{
+    bool blob = f.tag == CheckpointField::Tag::str ||
+                f.tag == CheckpointField::Tag::bytes;
+    return 1 + 2 + f.key.size() + (blob ? 4 + f.blob.size() : 8);
+}
 
 std::uint64_t
 doubleBits(double v)
@@ -157,11 +160,19 @@ bitsDouble(std::uint64_t bits)
 std::uint32_t
 crc32(const void *data, std::size_t len, std::uint32_t seed)
 {
-    const auto *table = crcTable();
+    const auto &t = crcTables().t;
     const auto *p = static_cast<const unsigned char *>(data);
     std::uint32_t c = seed ^ 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < len; ++i)
-        c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+    for (; len >= 8; p += 8, len -= 8) {
+        std::uint32_t lo = c ^ loadU32(p);
+        std::uint32_t hi = loadU32(p + 4);
+        c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+            t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][hi & 0xFF] ^
+            t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^
+            t[0][hi >> 24];
+    }
+    for (; len > 0; ++p, --len)
+        c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -207,16 +218,15 @@ CheckpointSectionWriter::f64(const std::string &key, double v)
 }
 
 void
-CheckpointSectionWriter::str(const std::string &key, const std::string &v)
+CheckpointSectionWriter::str(const std::string &key, std::string v)
 {
-    add({CheckpointField::Tag::str, key, 0, v});
+    add({CheckpointField::Tag::str, key, 0, std::move(v)});
 }
 
 void
-CheckpointSectionWriter::bytes(const std::string &key,
-                               const std::string &v)
+CheckpointSectionWriter::bytes(const std::string &key, std::string v)
 {
-    add({CheckpointField::Tag::bytes, key, 0, v});
+    add({CheckpointField::Tag::bytes, key, 0, std::move(v)});
 }
 
 void
@@ -248,30 +258,6 @@ CheckpointSectionWriter::rng(const std::string &key, const Rng &r)
     u64(key + ".s3", s[3]);
 }
 
-std::string
-CheckpointSectionWriter::encode() const
-{
-    std::string body;
-    for (const auto &f : _fields) {
-        putU8(body, static_cast<std::uint8_t>(f.tag));
-        putU16(body, static_cast<std::uint16_t>(f.key.size()));
-        body += f.key;
-        switch (f.tag) {
-          case CheckpointField::Tag::u64:
-          case CheckpointField::Tag::i64:
-          case CheckpointField::Tag::f64:
-            putU64(body, f.word);
-            break;
-          case CheckpointField::Tag::str:
-          case CheckpointField::Tag::bytes:
-            putU32(body, static_cast<std::uint32_t>(f.blob.size()));
-            body += f.blob;
-            break;
-        }
-    }
-    return body;
-}
-
 CheckpointSectionWriter &
 CheckpointWriter::section(const std::string &name)
 {
@@ -288,20 +274,49 @@ CheckpointWriter::section(const std::string &name)
 std::string
 CheckpointWriter::finish() const
 {
-    std::string out;
-    out.append(checkpoint_magic, sizeof(checkpoint_magic));
-    putU32(out, checkpoint_schema);
-    putU64(out, static_cast<std::uint64_t>(_tick));
-    putU32(out, static_cast<std::uint32_t>(_sections.size()));
+    std::size_t total = sizeof(checkpoint_magic) + 4 + 8 + 4 + 4;
     for (const auto &s : _sections) {
-        std::string body = s.encode();
-        putU16(out, static_cast<std::uint16_t>(s.name().size()));
-        out += s.name();
-        putU32(out, crc32(body.data(), body.size()));
-        putU64(out, body.size());
-        out += body;
+        total += 2 + s._name.size() + 4 + 8;
+        for (const auto &f : s._fields)
+            total += encodedSize(f);
     }
-    putU32(out, crc32(out.data(), out.size()));
+    std::string out;
+    out.reserve(total);
+    out.append(checkpoint_magic, sizeof(checkpoint_magic));
+    putLE(out, checkpoint_schema, 4);
+    putLE(out, static_cast<std::uint64_t>(_tick), 8);
+    putLE(out, _sections.size(), 4);
+    for (const auto &s : _sections) {
+        putLE(out, s._name.size(), 2);
+        out += s._name;
+        // Body CRC and length, patched once the body is in place.
+        std::size_t crc_at = out.size();
+        out.append(4 + 8, '\0');
+        std::size_t body_at = out.size();
+        for (const auto &f : s._fields) {
+            putLE(out, static_cast<std::uint8_t>(f.tag), 1);
+            putLE(out, f.key.size(), 2);
+            out += f.key;
+            switch (f.tag) {
+              case CheckpointField::Tag::u64:
+              case CheckpointField::Tag::i64:
+              case CheckpointField::Tag::f64:
+                putLE(out, f.word, 8);
+                break;
+              case CheckpointField::Tag::str:
+              case CheckpointField::Tag::bytes:
+                putLE(out, f.blob.size(), 4);
+                out += f.blob;
+                break;
+            }
+        }
+        std::size_t body_len = out.size() - body_at;
+        storeLE(&out[crc_at], crc32(out.data() + body_at, body_len), 4);
+        storeLE(&out[crc_at + 4], body_len, 8);
+    }
+    putLE(out, crc32(out.data(), out.size()), 4);
+    sim_assert(out.size() == total, "snapshot encoded to ", out.size(),
+               " bytes, sized for ", total);
     return out;
 }
 
@@ -408,14 +423,11 @@ CheckpointReader::CheckpointReader(const std::string &snapshot)
         checkpointError(who, "bad magic: not a Cedar snapshot");
     }
     // The trailing file CRC covers everything before it.
+    const auto *bytes =
+        reinterpret_cast<const unsigned char *>(snapshot.data());
     std::size_t body_end = snapshot.size() - 4;
-    std::uint32_t want_crc = 0;
-    for (int i = 0; i < 4; ++i) {
-        want_crc |= std::uint32_t(static_cast<unsigned char>(
-                        snapshot[body_end + i]))
-                    << (8 * i);
-    }
-    std::uint32_t have_crc = crc32(snapshot.data(), body_end);
+    std::uint32_t want_crc = loadU32(bytes + body_end);
+    std::uint32_t have_crc = crc32(bytes, body_end);
     if (want_crc != have_crc) {
         char buf[96];
         std::snprintf(buf, sizeof(buf),
@@ -425,27 +437,29 @@ CheckpointReader::CheckpointReader(const std::string &snapshot)
     }
     _file_crc = have_crc;
 
-    Cursor cur{reinterpret_cast<const unsigned char *>(snapshot.data()),
-               body_end, sizeof(checkpoint_magic), who};
-    _schema = cur.u32("schema version");
+    Cursor cur{bytes, body_end, sizeof(checkpoint_magic), who};
+    _schema = cur.le<std::uint32_t>("schema version");
     if (_schema != checkpoint_schema) {
         checkpointError(who, "schema version skew: snapshot is v" +
                                  std::to_string(_schema) +
                                  ", this build reads v" +
                                  std::to_string(checkpoint_schema));
     }
-    _tick = static_cast<Tick>(cur.u64("tick"));
-    std::uint32_t count = cur.u32("section count");
-    _sections.reserve(count);
+    _tick = static_cast<Tick>(cur.le<std::uint64_t>("tick"));
+    auto count = cur.le<std::uint32_t>("section count");
+    // A damaged count must not size the vector: each section takes at
+    // least its 14 header bytes.
+    _sections.reserve(
+        std::min<std::size_t>(count, (cur.len - cur.pos) / 14));
     for (std::uint32_t i = 0; i < count; ++i) {
         CheckpointSectionReader sec;
-        std::uint16_t name_len = cur.u16("section name length");
-        sec._name = cur.raw(name_len, "section name");
+        auto name_len = cur.le<std::uint16_t>("section name length");
+        sec._name = cur.str(name_len, "section name");
         cur.what = sec._name.c_str();
-        sec._body_crc = cur.u32("section CRC");
-        std::uint64_t body_len = cur.u64("section body length");
-        std::string body = cur.raw(body_len, "section body");
-        std::uint32_t computed = crc32(body.data(), body.size());
+        sec._body_crc = cur.le<std::uint32_t>("section CRC");
+        auto body_len = cur.le<std::uint64_t>("section body length");
+        const unsigned char *body = cur.take(body_len, "section body");
+        std::uint32_t computed = crc32(body, body_len);
         if (computed != sec._body_crc) {
             char buf[128];
             std::snprintf(buf, sizeof(buf),
@@ -454,13 +468,12 @@ CheckpointReader::CheckpointReader(const std::string &snapshot)
                           sec._name.c_str(), sec._body_crc, computed);
             checkpointError(who, buf);
         }
-        sec._body_size = body.size();
+        sec._body_size = body_len;
 
-        Cursor fc{reinterpret_cast<const unsigned char *>(body.data()),
-                  body.size(), 0, sec._name.c_str()};
+        Cursor fc{body, body_len, 0, sec._name.c_str()};
         while (fc.pos < fc.len) {
             CheckpointField f;
-            std::uint8_t tag = fc.u8("field tag");
+            auto tag = fc.le<std::uint8_t>("field tag");
             if (tag < 1 || tag > 5) {
                 checkpointError(sec._name,
                                 "malformed field tag " +
@@ -468,18 +481,18 @@ CheckpointReader::CheckpointReader(const std::string &snapshot)
                                     " in section '" + sec._name + "'");
             }
             f.tag = static_cast<CheckpointField::Tag>(tag);
-            std::uint16_t key_len = fc.u16("field key length");
-            f.key = fc.raw(key_len, "field key");
+            auto key_len = fc.le<std::uint16_t>("field key length");
+            f.key = fc.str(key_len, "field key");
             switch (f.tag) {
               case CheckpointField::Tag::u64:
               case CheckpointField::Tag::i64:
               case CheckpointField::Tag::f64:
-                f.word = fc.u64("field value");
+                f.word = fc.le<std::uint64_t>("field value");
                 break;
               case CheckpointField::Tag::str:
               case CheckpointField::Tag::bytes: {
-                std::uint32_t blob_len = fc.u32("field blob length");
-                f.blob = fc.raw(blob_len, "field blob");
+                auto blob_len = fc.le<std::uint32_t>("field blob length");
+                f.blob = fc.str(blob_len, "field blob");
                 break;
               }
             }

@@ -61,7 +61,11 @@ constexpr std::uint32_t checkpoint_schema = 1;
 /** The 8-byte magic that opens every snapshot. */
 extern const char checkpoint_magic[8];
 
-/** CRC-32 (IEEE 802.3 polynomial, reflected) of @p len bytes. */
+/**
+ * CRC-32 (IEEE 802.3 polynomial, reflected) of @p len bytes, eight
+ * bytes per step (slicing-by-8). Chains: crc32(b, n, crc32(a, m)) is
+ * the CRC of a followed by b.
+ */
 std::uint32_t crc32(const void *data, std::size_t len,
                     std::uint32_t seed = 0);
 
@@ -97,8 +101,9 @@ class CheckpointSectionWriter
     void u64(const std::string &key, std::uint64_t v);
     void i64(const std::string &key, std::int64_t v);
     void f64(const std::string &key, double v);
-    void str(const std::string &key, const std::string &v);
-    void bytes(const std::string &key, const std::string &v);
+    /** Blob fields take their payload by value: move large ones in. */
+    void str(const std::string &key, std::string v);
+    void bytes(const std::string &key, std::string v);
 
     /** Convenience: a Counter's value as a u64 field. */
     void counter(const std::string &key, const Counter &c);
@@ -110,10 +115,6 @@ class CheckpointSectionWriter
     void rng(const std::string &key, const Rng &r);
 
     const std::string &name() const { return _name; }
-    const std::vector<CheckpointField> &fields() const { return _fields; }
-
-    /** The encoded body bytes (tagged fields, in insertion order). */
-    std::string encode() const;
 
   private:
     friend class CheckpointWriter;
@@ -140,7 +141,11 @@ class CheckpointWriter
 
     Tick tick() const { return _tick; }
 
-    /** Serialize the snapshot (header, sections, CRCs). */
+    /**
+     * Serialize the snapshot (header, sections, CRCs). The output is
+     * sized up front and each section body is encoded straight into
+     * it, so every byte is copied once.
+     */
     std::string finish() const;
 
   private:
@@ -193,7 +198,8 @@ class CheckpointSectionReader
  * Parses and validates a snapshot. Construction throws a SimError of
  * kind `checkpoint` on bad magic, schema skew, truncation, CRC
  * mismatch, or malformed structure — a reader that constructs is a
- * snapshot whose every byte checked out.
+ * snapshot whose every byte checked out. Section CRCs are verified and
+ * fields decoded where the bytes lie; only keys and blobs are copied.
  */
 class CheckpointReader
 {

@@ -1,20 +1,24 @@
 /**
  * @file
- * Checkpoint/restore tests: container-format round-trips, typed
- * rejection of corrupt/truncated/version-skewed snapshots, quiescence
- * and configuration preconditions, and the bit-identity property — a
- * run restored at a randomized unit boundary finishes byte-identical
- * to an uninterrupted run — across three workload classes (prefetch
- * streams, cache + barriers, fault injection).
+ * Checkpoint/restore tests: the CRC-32 against its bitwise definition,
+ * container-format round-trips, typed rejection of corrupt, truncated,
+ * version-skewed and mutated snapshots, quiescence and configuration
+ * preconditions, and the bit-identity property — a run restored at a
+ * randomized unit boundary finishes byte-identical to an uninterrupted
+ * run — across three workload classes (prefetch streams, cache +
+ * barriers, fault injection).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "kernels/rank64.hh"
 #include "machine/cedar.hh"
@@ -24,23 +28,13 @@
 #include "sim/random.hh"
 #include "sim/telemetry.hh"
 #include "test_events.hh"
+#include "test_snapshot.hh"
 
 using namespace cedar;
 
 namespace {
 
-template <typename Fn>
-void
-expectCheckpointError(Fn &&fn, const char *what)
-{
-    try {
-        fn();
-        FAIL() << what << ": expected a checkpoint SimError";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), SimError::Kind::checkpoint)
-            << what << ": " << e.what();
-    }
-}
+using test::expectCheckpointError;
 
 /** A small synthetic snapshot exercising every field type. */
 std::string
@@ -108,7 +102,120 @@ coldMachine(const Workload &w)
     return m;
 }
 
+/** The CRC-32 definition, a byte at a time and a bit at a time. */
+std::uint32_t
+bitwiseCrc32(const unsigned char *p, std::size_t len)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < len; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
+    }
+    return ~c;
+}
+
+/** Bytes before the first section: magic, schema, tick, count. */
+constexpr std::size_t file_header = 24;
+
+std::uint64_t
+loadLE(const std::string &s, std::size_t at, int n)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < n; ++i)
+        v |= std::uint64_t(static_cast<unsigned char>(s[at + i])) << (8 * i);
+    return v;
+}
+
+void
+storeLE(std::string &s, std::size_t at, std::uint64_t v, int n)
+{
+    for (int i = 0; i < n; ++i)
+        s[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+/** Recompute the trailing file CRC over everything before it. */
+void
+resealFile(std::string &s)
+{
+    storeLE(s, s.size() - 4, crc32(s.data(), s.size() - 4), 4);
+}
+
+/**
+ * Recompute the body CRC of the section record at @p begin, framed by
+ * its own (possibly damaged) name and body lengths, when that body
+ * lies inside the snapshot.
+ */
+void
+resealSection(std::string &s, std::size_t begin)
+{
+    std::size_t limit = s.size() - 4;
+    if (limit < begin + 2)
+        return;
+    std::size_t crc_at = begin + 2 + loadLE(s, begin, 2);
+    if (limit < crc_at + 12)
+        return;
+    std::size_t body_at = crc_at + 12;
+    std::uint64_t len = loadLE(s, crc_at + 4, 8);
+    if (len <= limit - body_at)
+        storeLE(s, crc_at, crc32(s.data() + body_at, len), 4);
+}
+
+/** The section records (header and body) of a valid snapshot. */
+std::vector<std::string>
+sectionRecords(const std::string &snap)
+{
+    std::vector<std::string> records;
+    std::size_t at = file_header;
+    for (std::uint64_t i = 0, n = loadLE(snap, 20, 4); i < n; ++i) {
+        std::size_t body_at = at + 2 + loadLE(snap, at, 2) + 12;
+        std::size_t end = body_at + loadLE(snap, body_at - 8, 8);
+        records.push_back(snap.substr(at, end - at));
+        at = end;
+    }
+    return records;
+}
+
 } // namespace
+
+// ------------------------------------------------------------------ CRC
+
+TEST(CheckpointCrc, KnownAnswers)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+// Slicing-by-8 folds eight bytes per step and finishes byte by byte:
+// every tail length and every misaligned start must agree with the
+// definition.
+TEST(CheckpointCrc, MatchesTheBitwiseDefinitionAtEveryLengthAndOffset)
+{
+    Rng rng(0xC4C32u);
+    unsigned char buf[64 + 8];
+    for (auto &b : buf)
+        b = static_cast<unsigned char>(rng.next());
+    for (std::size_t off = 0; off < 8; ++off) {
+        for (std::size_t len = 0; len <= 64; ++len) {
+            EXPECT_EQ(crc32(buf + off, len), bitwiseCrc32(buf + off, len))
+                << "offset " << off << ", length " << len;
+        }
+    }
+}
+
+TEST(CheckpointCrc, SeedChainsAcrossAnySplit)
+{
+    Rng rng(0x5EEDu);
+    std::string data(300, '\0');
+    for (char &c : data)
+        c = static_cast<char>(rng.next());
+    std::uint32_t whole = crc32(data.data(), data.size());
+    for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+        std::uint32_t head = crc32(data.data(), cut);
+        EXPECT_EQ(crc32(data.data() + cut, data.size() - cut, head), whole)
+            << "split at " << cut;
+    }
+}
 
 // ------------------------------------------------------------ container
 
@@ -225,6 +332,30 @@ TEST(CheckpointFormat, BadMagicRejected)
     bad[0] = 'X';
     expectCheckpointError([&] { CheckpointReader r(bad); },
                           "bad magic");
+}
+
+// A body length near 2^64 once wrapped the bounds check's pos + n and
+// escaped as std::length_error; read in place, it would have read past
+// the snapshot.
+TEST(CheckpointFormat, HugeSectionLengthRejected)
+{
+    machine::CedarMachine m;
+    std::string snap = m.saveCheckpoint();
+    std::size_t len_at = file_header + 2 + loadLE(snap, file_header, 2) + 4;
+    for (std::uint64_t len :
+         {~std::uint64_t(0) - 7, ~std::uint64_t(0), std::uint64_t(1) << 63}) {
+        std::string bad = snap;
+        storeLE(bad, len_at, len, 8);
+        resealFile(bad);
+        expectCheckpointError([&] { CheckpointReader r(bad); },
+                              "body length " + std::to_string(len));
+    }
+    std::string bad = snap;
+    storeLE(bad, len_at, ~std::uint64_t(0) - 7, 8);
+    resealFile(bad);
+    machine::CedarMachine other;
+    expectCheckpointError([&] { other.restoreCheckpoint(bad); },
+                          "machine restore of a 2^64 - 8 body length");
 }
 
 TEST(CheckpointFormat, ManifestDescribesSections)
@@ -391,4 +522,147 @@ TEST(CheckpointProperty, RandomSplitBitIdentity)
             EXPECT_EQ(strippedStats(resumed), reference);
         }
     }
+}
+
+// Byte-level damage to a real standard-machine snapshot: flips in the
+// file and section headers and in section bodies, truncations, and
+// sections spliced in from a second snapshot. Each case is resealed —
+// the touched section's CRC and the file CRC recomputed — so the damage
+// reaches the decoder. The reader must construct or throw a typed
+// `checkpoint` error; nothing else may escape.
+TEST(CheckpointProperty, MutatedSnapshotsConstructOrFailTyped)
+{
+    machine::CedarMachine fresh;
+    std::string base = fresh.saveCheckpoint();
+    machine::CedarMachine ran;
+    kernels::Rank64Params p;
+    p.n = 32;
+    p.rank = 32;
+    kernels::runRank64(ran, p);
+    std::string donor_snap = ran.saveCheckpoint();
+
+    const std::vector<std::string> records = sectionRecords(base);
+    const std::vector<std::string> donor = sectionRecords(donor_snap);
+
+    // Most cases damage a window of a few consecutive sections framed
+    // under the snapshot's own header: four 279 KB cache tag stores are
+    // nine tenths of the bytes, and an unoptimized build cannot CRC and
+    // parse 1.2 MB thousands of times in seconds. Every 50th case
+    // damages the whole snapshot.
+    auto frame = [&](std::size_t first, std::size_t count,
+                     std::vector<std::size_t> &begins) {
+        std::string s = base.substr(0, file_header);
+        storeLE(s, 20, count, 4);
+        begins.clear();
+        for (std::size_t i = first; i < first + count; ++i) {
+            begins.push_back(s.size());
+            s += records[i];
+        }
+        s.append(4, '\0');
+        resealFile(s);
+        return s;
+    };
+    std::vector<std::size_t> begins;
+    ASSERT_EQ(frame(0, records.size(), begins), base);
+
+    constexpr unsigned cases = 2400;
+    enum Damage { body_flip, header_flip, truncation, splice, damages };
+    const char *damage_names[] = {"body flip", "header flip",
+                                  "truncation", "splice"};
+    unsigned constructed[damages] = {}, rejected[damages] = {};
+    Rng rng(0xF022u);
+    for (unsigned c = 0; c < cases; ++c) {
+        std::size_t first = 0, count = records.size();
+        if (c % 50 != 0) {
+            first = rng.below(records.size());
+            count = std::min<std::size_t>(1 + rng.below(6),
+                                          records.size() - first);
+            std::size_t bytes = 0;
+            for (std::size_t i = first; i < first + count; ++i)
+                bytes += records[i].size();
+            if (bytes > 64 * 1024)
+                count = 1;
+        }
+        std::string s = frame(first, count, begins);
+        std::size_t r = rng.below(count);
+        std::size_t begin = begins[r];
+        const std::string &rec = records[first + r];
+        std::size_t crc_at = begin + 2 + loadLE(rec, 0, 2);
+        std::size_t body_at = crc_at + 12;
+        std::size_t body_len = rec.size() - (body_at - begin);
+
+        auto damage = static_cast<Damage>(rng.below(damages));
+        switch (damage) {
+          case body_flip:
+            // Half the flips land in the first field headers, where
+            // tags and lengths live.
+            for (unsigned f = 0, n = 1 + unsigned(rng.below(3)); f < n;
+                 ++f) {
+                std::size_t span = rng.below(2)
+                                       ? body_len
+                                       : std::min<std::size_t>(body_len,
+                                                               48);
+                s[body_at + rng.below(span)] ^=
+                    static_cast<char>(1 + rng.below(255));
+            }
+            resealSection(s, begin);
+            break;
+          case header_flip: {
+            // The file header, or a name length, name or body length
+            // (not the body CRC, which resealing would restore).
+            std::size_t at;
+            if (rng.below(4) == 0) {
+                at = 8 + rng.below(file_header - 8);
+            } else {
+                std::size_t k = rng.below(body_at - begin - 4);
+                at = begin + k + (begin + k >= crc_at ? 4 : 0);
+            }
+            s[at] ^= static_cast<char>(1u << rng.below(8));
+            resealSection(s, begin);
+            break;
+          }
+          case truncation: {
+            std::size_t keep = rng.below(2)
+                                   ? rng.below(s.size() - 3)
+                                   : std::min(s.size() - 4,
+                                              begin + rng.below(32));
+            s.resize(keep);
+            s.append(4, '\0');
+            break;
+          }
+          case splice:
+            s.replace(begin, rec.size(), donor[rng.below(donor.size())]);
+            break;
+          case damages:
+            break;
+        }
+        resealFile(s);
+
+        try {
+            CheckpointReader reader(s);
+            ++constructed[damage];
+        } catch (const SimError &e) {
+            ++rejected[damage];
+            ASSERT_EQ(e.kind(), SimError::Kind::checkpoint)
+                << damage_names[damage] << " case " << c << ": "
+                << e.what();
+            if (damage == body_flip) {
+                EXPECT_EQ(std::string(e.what()).find("CRC"),
+                          std::string::npos)
+                    << "case " << c << " stopped at a CRC: " << e.what();
+            }
+        } catch (const std::exception &e) {
+            FAIL() << damage_names[damage] << " case " << c
+                   << " escaped untyped: " << e.what();
+        }
+    }
+    for (int k = 0; k < damages; ++k) {
+        SCOPED_TRACE(damage_names[k]);
+        EXPECT_GT(rejected[k], 0u);
+    }
+    // Splicing a section over itself, or a flip in the tick or in a
+    // value, still decodes: some cases must get through.
+    EXPECT_GT(constructed[splice] + constructed[body_flip] +
+                  constructed[header_flip],
+              0u);
 }

@@ -2,7 +2,8 @@
  * @file
  * Tests for the global memory system: the address map, the Zhu-Yew
  * synchronization semantics, module timing (including the calibrated
- * conflict loss), and end-to-end read/write/sync round trips.
+ * conflict loss), end-to-end read/write/sync round trips, and the
+ * module's checkpoint restore checks.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "mem/module.hh"
 #include "mem/syncops.hh"
 #include "sim/error.hh"
+#include "test_snapshot.hh"
 
 using namespace cedar;
 using namespace cedar::mem;
@@ -177,6 +179,47 @@ TEST(MemoryModule, SyncAccessIsIndivisibleAndSlower)
     mod.syncAccess(20, 40, SyncOp::fetchAndAdd(1), res);
     EXPECT_EQ(res.old_value, 1);
     EXPECT_EQ(mod.peek(40), 2);
+}
+
+// A cell count of 2^62 times 12 bytes wraps to 0, so a count checked
+// by multiplying would accept an empty blob and then try to reserve
+// 2^62 cells.
+TEST(MemoryModule, RestoreRefusesACellCountTheBlobDoesNotHold)
+{
+    MemoryModule mod("mod", 2, 3, 0);
+    mod.poke(40, -7);
+    mod.poke(8, 123);
+    CheckpointWriter w(0);
+    mod.saveState(w);
+    std::string snap = w.finish();
+
+    auto restore = [](const std::string &s) {
+        MemoryModule fresh("mod", 2, 3, 0);
+        fresh.restoreState(CheckpointReader(s));
+        return fresh.peek(40);
+    };
+    EXPECT_EQ(restore(snap), -7);
+
+    // 12 x 2^62 wraps to 0 bytes, 12 x (2^62 + 2) to the 24 of two cells.
+    std::string empty = test::withBytes(snap, "mod", "cells", "");
+    test::expectCheckpointError(
+        [&] {
+            restore(test::withU64(empty, "mod", "cell_count",
+                                  std::uint64_t(1) << 62));
+        },
+        "cell_count 2^62 with an empty blob");
+    for (std::uint64_t count : {(std::uint64_t(1) << 62) + 2,
+                                std::uint64_t(3)}) {
+        test::expectCheckpointError(
+            [&] { restore(test::withU64(snap, "mod", "cell_count", count)); },
+            "cell_count " + std::to_string(count) + " with two cells");
+    }
+    test::expectCheckpointError(
+        [&] {
+            restore(test::withBytes(snap, "mod", "cells",
+                                    std::string(25, '\0')));
+        },
+        "a blob of two cells and one byte");
 }
 
 // ---------------------------------------------------------------------

@@ -2,8 +2,10 @@
  * @file
  * Focused PFU device-model coverage: the page-crossing suspension
  * protocol and the out-of-order-fill / in-order-consume contract of
- * the full/empty-bit buffer. Complements tests/test_prefetch.cc,
- * which covers arm/fire basics, masking, and reuse.
+ * the full/empty-bit buffer, and the restore checks that keep a
+ * snapshot from arming a state no fire could produce. Complements
+ * tests/test_prefetch.cc, which covers arm/fire basics, masking, and
+ * reuse.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "prefetch/pfu.hh"
 #include "sim/engine.hh"
 #include "test_events.hh"
+#include "test_snapshot.hh"
 
 using namespace cedar;
 using cedar::prefetch::PfuParams;
@@ -256,4 +259,125 @@ TEST(PfuOutOfOrder, QueryBeforeArrivalAnswersAtArrivalNotBefore)
     f.sim.run();
     EXPECT_EQ(done.last(),
               f.pfu.wordArrival(31) + f.pfu.params().drain_cycles);
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint restore checks
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * A PFU saved after a finished four-word prefetch: synthetic, or fired
+ * through memory under @p mask.
+ */
+std::string
+savedPfu(const std::vector<bool> &mask = {})
+{
+    Fixture f;
+    if (mask.empty()) {
+        f.pfu.fireSynthetic({10, 30, 20, 40});
+    } else {
+        f.pfu.fireMasked(mem::globalAddr(0), unsigned(mask.size()), 1,
+                         mask, 0);
+        f.sim.run();
+    }
+    CheckpointWriter w(0);
+    f.pfu.saveState(w);
+    return w.finish();
+}
+
+/** Restore @p snap into a fresh PFU and save it again. */
+std::string
+restoreAndSave(const std::string &snap)
+{
+    Fixture f;
+    f.pfu.restoreState(CheckpointReader(snap));
+    CheckpointWriter w(0);
+    f.pfu.saveState(w);
+    return w.finish();
+}
+
+std::string
+ticks(std::size_t n)
+{
+    return std::string(n * 8, '\0');
+}
+
+void
+expectRefused(const std::string &snap, const std::string &what)
+{
+    test::expectCheckpointError([&] { restoreAndSave(snap); }, what);
+}
+
+} // namespace
+
+TEST(PfuCheckpoint, EveryArmingPathRestoresExactly)
+{
+    Fixture idle;
+    CheckpointWriter w(0);
+    idle.pfu.saveState(w);
+    for (const std::string &snap :
+         {w.finish(), savedPfu(), savedPfu({true, false, true, true})}) {
+        EXPECT_EQ(restoreAndSave(snap), snap);
+    }
+}
+
+// Length 2^20 once restored, after which canReuse(0, 4) said yes and
+// wordArrival(100000) read past the four-tick arrival buffer.
+TEST(PfuCheckpoint, RefusesALengthPastTheBuffer)
+{
+    std::string snap = savedPfu();
+    expectRefused(test::withU64(snap, "pfu", "length", 1u << 20),
+                  "length 2^20");
+    unsigned words = PfuParams{}.buffer_words + 1;
+    expectRefused(test::withBytes(test::withU64(snap, "pfu", "length", words),
+                                  "pfu", "arrivals", ticks(words)),
+                  "length one past the buffer, with its arrivals");
+}
+
+TEST(PfuCheckpoint, RefusesArrivalsThatDoNotMatchTheLength)
+{
+    std::string snap = savedPfu();
+    for (std::size_t n : {0, 3, 5}) {
+        expectRefused(test::withBytes(snap, "pfu", "arrivals", ticks(n)),
+                      std::to_string(n) + " arrivals for 4 words");
+    }
+}
+
+TEST(PfuCheckpoint, RefusesAMaskThatDoesNotMatchTheLength)
+{
+    std::string masked = savedPfu({true, false, true, true});
+    for (std::size_t n : {1, 3, 5}) {
+        expectRefused(test::withBytes(masked, "pfu", "mask",
+                                      std::string(n, '\1')),
+                      std::to_string(n) + "-byte mask for 4 words");
+    }
+    // An empty mask means every word is enabled, at any length.
+    std::string unmasked = test::withBytes(masked, "pfu", "mask", "");
+    EXPECT_EQ(restoreAndSave(unmasked), unmasked);
+}
+
+TEST(PfuCheckpoint, RefusesCountsPastTheLength)
+{
+    // Three of four words enabled: enabled_count and arrived are 3.
+    std::string snap = savedPfu({true, false, true, true});
+    for (const char *key : {"next_issue", "arrived", "enabled_count"}) {
+        std::string at_length = test::withU64(snap, "pfu", key, 4);
+        EXPECT_EQ(restoreAndSave(at_length), at_length) << key;
+        expectRefused(test::withU64(snap, "pfu", key, 5),
+                      std::string(key) + " 5 of 4 words");
+    }
+}
+
+// 2^32 + 4 once narrowed silently to 4, which matches the arrivals.
+TEST(PfuCheckpoint, RefusesValuesPastTheUnsignedRange)
+{
+    std::string snap = savedPfu();
+    std::uint64_t wide = (std::uint64_t(1) << 32) + 4;
+    for (const char *key :
+         {"stride", "length", "next_issue", "arrived", "enabled_count"}) {
+        expectRefused(test::withU64(snap, "pfu", key, wide),
+                      std::string(key) + " 2^32 + 4");
+    }
 }
