@@ -29,6 +29,8 @@ Cluster::Cluster(const std::string &name, Simulation &sim,
 unsigned
 Cluster::newBarrier(unsigned participants)
 {
+    sim_assert(participants > 0 && participants <= numCes(), "barrier of ",
+               participants, " CEs in a ", numCes(), "-CE cluster");
     unsigned id = _next_barrier_id++;
     _barriers.emplace(id, _ccb->makeBarrier(participants));
     return id;
@@ -98,15 +100,33 @@ void
 Cluster::restoreState(const CheckpointReader &r)
 {
     const auto &sec = r.section(name());
-    _next_barrier_id = static_cast<unsigned>(sec.u64("next_barrier_id"));
-    _barriers.clear();
+    // Restore only a table newBarrier() can build: distinct ids below
+    // next_barrier_id (so the next id is fresh), each over 1..numCes()
+    // participants (so it can release).
+    _next_barrier_id = sec.u32("next_barrier_id");
     std::uint64_t count = sec.u64("barrier_count");
+    if (count > _next_barrier_id) {
+        checkpointError(name(), std::to_string(count) +
+                                    " barriers but next_barrier_id " +
+                                    std::to_string(_next_barrier_id));
+    }
+    _barriers.clear();
     for (std::uint64_t i = 0; i < count; ++i) {
         std::string key = "barrier" + std::to_string(i);
-        auto id = static_cast<unsigned>(sec.u64(key + ".id"));
-        auto participants =
-            static_cast<unsigned>(sec.u64(key + ".participants"));
-        _barriers.emplace(id, _ccb->makeBarrier(participants));
+        unsigned id = sec.u32(key + ".id");
+        unsigned participants = sec.u32(key + ".participants");
+        std::string what = "barrier " + std::to_string(id);
+        if (id >= _next_barrier_id)
+            checkpointError(name(), what + " is not below next_barrier_id");
+        if (participants == 0 || participants > numCes()) {
+            checkpointError(name(), what + " has " +
+                                        std::to_string(participants) +
+                                        " participants in a " +
+                                        std::to_string(numCes()) +
+                                        "-CE cluster");
+        }
+        if (!_barriers.emplace(id, _ccb->makeBarrier(participants)).second)
+            checkpointError(name(), what + " appears twice");
     }
     _cmem->restoreState(r);
     _cache->restoreState(r);

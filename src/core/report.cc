@@ -21,25 +21,6 @@
 
 namespace cedar::core {
 
-namespace {
-
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    if (v == std::floor(v) && std::abs(v) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-        return buf;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
-
-} // namespace
-
 TableWriter::TableWriter(std::vector<std::string> headers,
                          unsigned min_width)
     : _headers(std::move(headers)), _min_width(min_width)

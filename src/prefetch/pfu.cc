@@ -6,7 +6,6 @@
 #include "pfu.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "sim/trace.hh"
 
@@ -362,23 +361,14 @@ void
 PrefetchUnit::restoreState(const CheckpointReader &r)
 {
     const auto &sec = r.section(name());
-    auto narrow = [&](const char *key) {
-        std::uint64_t v = sec.u64(key);
-        if (v > std::numeric_limits<unsigned>::max()) {
-            checkpointError(name(), std::string("field '") + key +
-                                        "' is " + std::to_string(v) +
-                                        ", past the unsigned range");
-        }
-        return static_cast<unsigned>(v);
-    };
     // Restore only what an arming path (beginFire, fireMasked,
     // fireSynthetic) can leave behind: later queries index the
     // arrival and mask buffers by word, up to length.
-    unsigned stride = narrow("stride");
-    unsigned length = narrow("length");
-    unsigned next_issue = narrow("next_issue");
-    unsigned arrived = narrow("arrived");
-    unsigned enabled_count = narrow("enabled_count");
+    unsigned stride = sec.u32("stride");
+    unsigned length = sec.u32("length");
+    unsigned next_issue = sec.u32("next_issue");
+    unsigned arrived = sec.u32("arrived");
+    unsigned enabled_count = sec.u32("enabled_count");
     std::vector<Tick> arrivals =
         unpackTicks(sec.bytes("arrivals"), name(), "arrivals");
     const std::string &mask = sec.bytes("mask");

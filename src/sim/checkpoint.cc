@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "sim/error.hh"
@@ -355,6 +356,18 @@ std::uint64_t
 CheckpointSectionReader::u64(const std::string &key) const
 {
     return get(key, CheckpointField::Tag::u64).word;
+}
+
+unsigned
+CheckpointSectionReader::u32(const std::string &key) const
+{
+    std::uint64_t v = u64(key);
+    if (v > std::numeric_limits<unsigned>::max()) {
+        checkpointError(_name, "field '" + key + "' is " +
+                                   std::to_string(v) +
+                                   ", past the unsigned range");
+    }
+    return static_cast<unsigned>(v);
 }
 
 std::int64_t

@@ -162,6 +162,9 @@ class CheckpointSectionReader
     bool has(const std::string &key) const;
 
     std::uint64_t u64(const std::string &key) const;
+    /** A u64 field that must fit `unsigned`; a wider value raises
+     *  `checkpoint` instead of being narrowed. */
+    unsigned u32(const std::string &key) const;
     std::int64_t i64(const std::string &key) const;
     double f64(const std::string &key) const;
     const std::string &str(const std::string &key) const;

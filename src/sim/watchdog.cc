@@ -135,7 +135,7 @@ Watchdog::restoreState(const CheckpointReader &r)
 {
     const auto &sec = r.section(name());
     _last_progress = sec.u64("last_progress");
-    _next_token = static_cast<unsigned>(sec.u64("next_token"));
+    _next_token = sec.u32("next_token");
     sec.counter("progress_marks", _progress_marks);
     sec.counter("waits_begun", _waits_begun);
     _waits.clear();

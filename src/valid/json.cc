@@ -227,7 +227,7 @@ struct Parser
           case '"': return Json::of(parseString());
           case 't': literal("true"); return Json::of(true);
           case 'f': literal("false"); return Json::of(false);
-          case 'n': literal("null"); return Json::makeNull();
+          case 'n': literal("null"); return Json();
           default: return parseNumber();
         }
     }

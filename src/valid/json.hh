@@ -36,7 +36,6 @@ class Json
     };
 
     Json() = default;
-    static Json makeNull() { return Json(); }
     static Json of(bool b);
     static Json of(double v);
     static Json of(const std::string &s);

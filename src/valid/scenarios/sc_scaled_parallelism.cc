@@ -79,6 +79,8 @@ runScaledParallelism(ScenarioContext &ctx)
     std::size_t next = 1;
     for (unsigned clusters : scales) {
         unsigned ces = clusters * 8;
+        std::string cell = "c";
+        cell += std::to_string(clusters);
         std::vector<double> speedups;
         for (unsigned rpc : rows_per_ce) {
             double rate = rates[next++];
@@ -91,9 +93,7 @@ runScaledParallelism(ScenarioContext &ctx)
             table.row({core::fmt(clusters, 0), core::fmt(ces, 0),
                        core::fmt(rpc, 0), core::fmt(rate, 3),
                        core::fmt(spdup, 1), method::bandName(band)});
-            ctx.cell("c" + std::to_string(clusters) + "_speedup_r" +
-                         std::to_string(rpc),
-                     spdup,
+            ctx.cell(cell + "_speedup_r" + std::to_string(rpc), spdup,
                      {nan, 0.0, 1e-6,
                       "banded speedup at " + std::to_string(ces) +
                           " CEs (acceptable >= " +
@@ -106,11 +106,11 @@ runScaledParallelism(ScenarioContext &ctx)
         double st = method::stability(speedups, 0);
         double st1 = method::stability(speedups, 1);
         all_stable = all_stable && st1 >= 0.5 && st1 <= 1.0;
-        ctx.cell("c" + std::to_string(clusters) + "_st", st,
+        ctx.cell(cell + "_st", st,
                  {nan, 0.0, 1e-6,
                   "size stability St over three problem sizes at " +
                       std::to_string(ces) + " CEs"});
-        ctx.cell("c" + std::to_string(clusters) + "_st1", st1,
+        ctx.cell(cell + "_st1", st1,
                  {nan, 0.0, 1e-6,
                   "St with one excluded size (the paper's exception "
                   "mechanism) at " +

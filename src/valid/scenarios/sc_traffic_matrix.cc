@@ -123,9 +123,9 @@ runTrafficMatrix(ScenarioContext &ctx)
                    net::trafficPatternName(k.pattern),
                    core::fmt(p.mean_latency, 3),
                    core::fmt(p.mean_queueing, 3), core::fmt(p.floor, 0)});
-        std::string key = "c" + std::to_string(k.clusters) + "_" +
-                          k.fabric->label + "_" +
-                          net::trafficPatternName(k.pattern) + "_lat";
+        std::string key = "c";
+        key += std::to_string(k.clusters) + "_" + k.fabric->label + "_" +
+               net::trafficPatternName(k.pattern) + "_lat";
         ctx.cell(key, p.mean_latency,
                  {nan, 0.0, 1e-6,
                   "mean latency, beyond-paper fabric (floor " +

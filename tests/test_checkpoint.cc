@@ -2,7 +2,8 @@
  * @file
  * Checkpoint/restore tests: the CRC-32 against its bitwise definition,
  * container-format round-trips, typed rejection of corrupt, truncated,
- * version-skewed and mutated snapshots, quiescence and configuration
+ * version-skewed and mutated snapshots, cluster barrier tables and
+ * watchdog tokens that no run can produce, quiescence and configuration
  * preconditions, and the bit-identity property — a run restored at a
  * randomized unit boundary finishes byte-identical to an uninterrupted
  * run — across three workload classes (prefetch streams, cache +
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <exception>
 #include <memory>
 #include <sstream>
@@ -22,6 +24,7 @@
 
 #include "kernels/rank64.hh"
 #include "machine/cedar.hh"
+#include "runtime/loops.hh"
 #include "sim/checkpoint.hh"
 #include "sim/error.hh"
 #include "sim/fault.hh"
@@ -487,6 +490,118 @@ TEST(CheckpointMachine, TelemetryContinuesBitIdentically)
 
     EXPECT_EQ(strippedStats(b), strippedStats(a));
     EXPECT_EQ(b.telemetry()->records(), a.telemetry()->records());
+}
+
+// ---------------------------------------------- field-level restore checks
+
+namespace {
+
+/** A standard machine after two cdoall launches: cedar.cluster0 holds
+ *  barriers 0 and 1 over its eight CEs, and next_barrier_id is 2. */
+std::string
+twoBarrierSnapshot()
+{
+    machine::CedarMachine m;
+    runtime::LoopRunner runner(m);
+    auto body = [](unsigned, unsigned, std::deque<cluster::Op> &out) {
+        out.push_back(cluster::Op::makeScalar(Cycles(1)));
+    };
+    runner.cdoall(0, 8, body);
+    runner.cdoall(0, 8, body);
+    return m.saveCheckpoint();
+}
+
+/** Restore @p snap into a fresh standard machine and save it again. */
+std::string
+restoreAndSave(const std::string &snap)
+{
+    machine::CedarMachine m;
+    m.restoreCheckpoint(snap);
+    return m.saveCheckpoint();
+}
+
+/** @p snap with @p section's @p key set to @p v must be refused. */
+void
+expectRefused(const std::string &snap, const std::string &section,
+              const std::string &key, std::uint64_t v)
+{
+    std::string bad = test::withU64(snap, section, key, v);
+    expectCheckpointError([&] { restoreAndSave(bad); },
+                          section + " " + key + " = " + std::to_string(v));
+}
+
+const std::uint64_t two_to_32 = std::uint64_t(1) << 32;
+
+} // namespace
+
+TEST(ClusterCheckpoint, BarrierTableRestoresByteIdentically)
+{
+    // Both barriers span all eight CEs, the upper participant limit.
+    std::string snap = twoBarrierSnapshot();
+    EXPECT_EQ(restoreAndSave(snap), snap);
+    // One participant is legal, and so are ids that skip some of those
+    // below next_barrier_id.
+    std::string one = test::withU64(snap, "cedar.cluster0",
+                                    "barrier0.participants", 1);
+    EXPECT_EQ(restoreAndSave(one), one);
+    std::string gap = test::withU64(
+        test::withU64(snap, "cedar.cluster0", "next_barrier_id", 5),
+        "cedar.cluster0", "barrier1.id", 4);
+    EXPECT_EQ(restoreAndSave(gap), gap);
+}
+
+// Zero once tripped the barrier's own sim_assert (Kind::assertion), and
+// 1000 restored a barrier that could never release.
+TEST(ClusterCheckpoint, RefusesParticipantsOutsideTheCluster)
+{
+    std::string snap = twoBarrierSnapshot();
+    for (std::uint64_t v : {0, 9, 1000})
+        expectRefused(snap, "cedar.cluster0", "barrier0.participants", v);
+}
+
+// Each of these once narrowed silently: 2^32 + 8 participants restored
+// as 8, and id 2^32 wrapped onto id 0, so emplace dropped the barrier.
+TEST(ClusterCheckpoint, RefusesValuesPastTheUnsignedRange)
+{
+    std::string snap = twoBarrierSnapshot();
+    expectRefused(snap, "cedar.cluster0", "barrier0.participants",
+                  two_to_32 + 8);
+    expectRefused(snap, "cedar.cluster0", "barrier1.id", two_to_32);
+    expectRefused(snap, "cedar.cluster0", "next_barrier_id", two_to_32);
+}
+
+// With id 2 restored beside next_barrier_id 2, the next newBarrier()
+// would have reused a live id.
+TEST(ClusterCheckpoint, RefusesAnIdAtOrPastNextBarrierId)
+{
+    std::string snap = twoBarrierSnapshot();
+    expectRefused(snap, "cedar.cluster0", "barrier1.id", 2);
+    expectRefused(snap, "cedar.cluster0", "barrier0.id", 7);
+}
+
+TEST(ClusterCheckpoint, RefusesADuplicateId)
+{
+    expectRefused(twoBarrierSnapshot(), "cedar.cluster0", "barrier1.id", 0);
+}
+
+// next_barrier_id 0 once restored silently beside two live barriers,
+// and the next newBarrier() reused id 0.
+TEST(ClusterCheckpoint, RefusesMoreBarriersThanIds)
+{
+    std::string snap = twoBarrierSnapshot();
+    expectRefused(snap, "cedar.cluster0", "next_barrier_id", 0);
+    expectRefused(snap, "cedar.cluster0", "next_barrier_id", 1);
+    expectRefused(snap, "cedar.cluster0", "barrier_count", 3);
+}
+
+// 2^32 + 1 once narrowed silently to token 1.
+TEST(WatchdogCheckpoint, RefusesATokenPastTheUnsignedRange)
+{
+    std::string snap = twoBarrierSnapshot();
+    std::string top =
+        test::withU64(snap, "cedar.watchdog", "next_token", two_to_32 - 1);
+    EXPECT_EQ(restoreAndSave(top), top);
+    expectRefused(snap, "cedar.watchdog", "next_token", two_to_32 + 1);
 }
 
 // -------------------------------------------------------- property test

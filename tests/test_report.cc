@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/report.hh"
 
 using namespace cedar::core;
@@ -53,6 +55,19 @@ TEST(TableWriter, EmptyTableStillRenders)
 {
     TableWriter table({"a"});
     EXPECT_FALSE(table.str().empty());
+}
+
+TEST(BenchOutput, JsonLineUsesTheSharedNumberFormat)
+{
+    char arg0[] = "bench";
+    char *argv[] = {arg0, nullptr};
+    BenchOutput out("stress", 1, argv);
+    out.metric("full", 1.23456789);
+    out.metric("big", 3e9);
+    out.metric("nan", std::nan(""));
+    out.metric("k\"e\\y", 1.5);
+    EXPECT_EQ(out.jsonLine(), R"({"bench":"stress","full":1.23456789,)"
+                              R"("big":3000000000,"nan":0,"k\"e\\y":1.5})");
 }
 
 // ---------------------------------------------------------------------
