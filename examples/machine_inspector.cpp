@@ -4,8 +4,8 @@
  * increasing load and prints the full machine report each time — the
  * workflow the CSRD group used their hardware monitors for, watching
  * contention appear in the memory system as clusters join. The final
- * run also dumps the full stat registry as hierarchical JSON, writes
- * a Chrome trace of the monitored events, and lists the debug flags.
+ * run also dumps the full stat registry as hierarchical JSON and
+ * writes a Chrome trace of the monitored events.
  * `--telemetry` additionally streams interval telemetry (one JSONL
  * record per `--interval` ticks, plus a final record) from every run
  * to the given file — the raw material for utilization curves.
@@ -195,12 +195,6 @@ main(int argc, char **argv)
             }
         }
     }
-
-    std::printf("\ndebug-trace flags (enable via CEDAR_DEBUG=Flag1,"
-                "Flag2 or CEDAR_DEBUG=All):\n ");
-    for (const auto &f : trace::flagNames())
-        std::printf(" %s", f.c_str());
-    std::printf("\n");
 
     if (telemetry_path) {
         std::printf("\ninterval telemetry written to %s "

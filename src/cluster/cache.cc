@@ -7,8 +7,6 @@
 
 #include "cache.hh"
 
-#include "sim/trace.hh"
-
 namespace cedar::cluster {
 
 SharedCache::SharedCache(const std::string &name,
@@ -113,9 +111,6 @@ SharedCache::streamAccess(Addr start, unsigned count, unsigned stride,
                                  static_cast<std::int64_t>(wb_words));
             }
         }
-        DPRINTF(Cache, ready, "miss burst lines=", miss_lines,
-                " fill_words=", miss_lines * _words_per_line,
-                " wb_words=", wb_words, " done=", miss_done);
     }
 
     result.done = std::max(data_done, miss_done);
@@ -149,8 +144,6 @@ SharedCache::flushAll(Tick ready)
                              static_cast<std::int64_t>(dirty_words));
         }
     }
-    DPRINTF(Cache, ready, "flush dirty_words=", dirty_words, " done=",
-            done);
     invalidateAll();
     return done;
 }

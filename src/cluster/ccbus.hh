@@ -21,7 +21,6 @@
 #include "sim/named.hh"
 #include "sim/statreg.hh"
 #include "sim/stats.hh"
-#include "sim/trace.hh"
 #include "sim/types.hh"
 
 namespace cedar::cluster {
@@ -165,8 +164,6 @@ class ConcurrencyControlBus : public Named
     concurrentStart(Tick now)
     {
         _starts.inc();
-        DPRINTF(CCB, now, "concurrent start, gang live at ",
-                now + _params.concurrent_start_cycles);
         return now + _params.concurrent_start_cycles;
     }
 
@@ -179,8 +176,6 @@ class ConcurrencyControlBus : public Named
     {
         _dispatches.inc();
         Tick start = _bus.acquire(now, 1, bus_occupancy, bus_queue_words);
-        DPRINTF(CCB, now, "iteration grant, held at ",
-                start + _params.dispatch_cycles);
         return start + _params.dispatch_cycles;
     }
 

@@ -59,7 +59,6 @@
 #include "sim/fault.hh"
 #include "sim/probes.hh"
 #include "sim/statreg.hh"
-#include "sim/trace.hh"
 #include "sim/watchdog.hh"
 
 #endif // CEDARSIM_CORE_CEDAR_HH

@@ -5,8 +5,6 @@
 
 #include "globalmem.hh"
 
-#include "sim/trace.hh"
-
 namespace cedar::mem {
 
 GlobalMemory::GlobalMemory(const std::string &name,
@@ -95,8 +93,6 @@ GlobalMemory::read(unsigned port, Addr addr, Tick issue)
                                      _params.read_response_words, served);
     _reads.inc();
     _read_latency.sample(static_cast<double>(rev.head_arrival - issue));
-    DPRINTF(GM, issue, "read port=", port, " addr=", addr, " mod=", mod,
-            " latency=", rev.head_arrival - issue);
     return GmResult{rev.head_arrival, fwd.queueing + rev.queueing, {}};
 }
 
@@ -112,8 +108,6 @@ GlobalMemory::write(unsigned port, Addr addr, Tick issue)
                                   _params.write_request_words, issue);
     Tick served = serving(mod).access(fwd.tail_arrival);
     _writes.inc();
-    DPRINTF(GM, issue, "write port=", port, " addr=", addr, " mod=", mod,
-            " served=", served);
     return served;
 }
 
@@ -137,9 +131,6 @@ GlobalMemory::sync(unsigned port, Addr addr, const SyncOp &op, Tick issue)
         fwd.tail_arrival, globalOffset(addr), op, res, perform);
     auto rev = reverseNet().traverse(mod_port, port, 2, served);
     _syncs.inc();
-    DPRINTF(Sync, issue, syncOperateName(op.operate), " port=", port,
-            " addr=", addr, " old=", res.old_value, " success=",
-            res.success, " timed_out=", res.timed_out);
     return GmResult{rev.head_arrival, fwd.queueing + rev.queueing, res};
 }
 

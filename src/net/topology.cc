@@ -12,7 +12,6 @@
 #include "net/fattree.hh"
 #include "net/omega.hh"
 #include "sim/error.hh"
-#include "sim/trace.hh"
 
 namespace cedar::net {
 
@@ -125,8 +124,6 @@ Topology::traverse(unsigned in_port, unsigned dest, unsigned words,
         _monitor->record(res.head_arrival, Signal::net_dequeue,
                          static_cast<std::int64_t>(queueing));
     }
-    DPRINTF(Net, inject, "packet ", in_port, "->", dest, " words=",
-            words, " queueing=", queueing, " head_at=", res.head_arrival);
     return res;
 }
 

@@ -7,8 +7,6 @@
 
 #include <algorithm>
 
-#include "sim/trace.hh"
-
 namespace cedar::prefetch {
 
 PrefetchUnit::PrefetchUnit(const std::string &name, Simulation &sim,
@@ -63,8 +61,6 @@ PrefetchUnit::beginFire(Addr start, unsigned length, unsigned stride,
     skipDisabled();
     if (_monitor)
         _monitor->record(when, Signal::pfu_fire, length);
-    DPRINTF(PFU, when, "fire start=", start, " length=", length,
-            " stride=", stride, " enabled=", _enabled_count);
     if (_enabled_count == 0) {
         // Nothing to fetch: cancel any pending issue of the prefetch
         // this fire invalidated.
@@ -262,8 +258,6 @@ PrefetchUnit::answerQueries()
         }
         if (_monitor)
             _monitor->record(t, Signal::pfu_consume, query.count);
-        DPRINTF(PFU, t, "consumed [", query.first, ",",
-                query.first + query.count, ")");
         ConsumeEvent *ev = acquireConsumeEvent();
         ev->_consumer = query.consumer;
         ev->_done = t;

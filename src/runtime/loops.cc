@@ -16,7 +16,6 @@
 #include "mem/syncops.hh"
 #include "sim/error.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace cedar::runtime {
 
@@ -554,8 +553,6 @@ LoopRunner::SdoallContext::Slot::pump()
     m.runtimeStats().sdoall_dispatches.inc();
     m.sim().noteProgress();
     m.postEvent(m.sim().curTick(), Signal::loop_dispatch, iter);
-    DPRINTFN(Loops, m.sim().curTick(), "cedar.runtime",
-             "SDOALL iteration ", iter, " -> cluster ", cluster);
     work = ctx.body(iter, cluster);
     // Iteration dispatch goes through global memory, like XDOALL
     // fetches but for a whole cluster.
@@ -697,9 +694,6 @@ LoopRunner::cdoallAsync(unsigned cluster_idx, unsigned n_iters,
     _machine.runtimeStats().iterations.inc(n_iters);
     _machine.postEvent(_machine.sim().curTick(), Signal::loop_cdoall,
                        n_iters);
-    DPRINTFN(Loops, _machine.sim().curTick(), "cedar.runtime",
-             "CDOALL cluster=", cluster_idx, " iters=", n_iters,
-             " ces=", n_ces);
 
     // Gang start over the concurrency control bus.
     Tick start_at = cl.ccb().concurrentStart(_machine.sim().curTick());
@@ -753,9 +747,6 @@ LoopRunner::xdoallAsync(std::vector<unsigned> ces, unsigned n_iters,
     _machine.runtimeStats().iterations.inc(n_iters);
     _machine.postEvent(_machine.sim().curTick(), Signal::loop_xdoall,
                        n_iters);
-    DPRINTFN(Loops, _machine.sim().curTick(), "cedar.runtime",
-             "XDOALL iters=", n_iters, " ces=", ctx.ces.size(), " sched=",
-             sched == Schedule::self_scheduled ? "self" : "static");
 
     // XDOALL processors get started through global memory: the gang is
     // live one startup latency after launch.
@@ -780,8 +771,6 @@ LoopRunner::sdoallAsync(std::vector<unsigned> clusters, unsigned n_iters,
     _machine.runtimeStats().iterations.inc(n_iters);
     _machine.postEvent(_machine.sim().curTick(), Signal::loop_sdoall,
                        n_iters);
-    DPRINTFN(Loops, _machine.sim().curTick(), "cedar.runtime",
-             "SDOALL iters=", n_iters, " clusters=", clusters.size());
 
     Tick start_at = _machine.sim().curTick() + _params.sdoall_startup;
     for (std::size_t i = 0; i < clusters.size(); ++i) {

@@ -9,7 +9,6 @@
 
 #include "checkpoint.hh"
 #include "error.hh"
-#include "trace.hh"
 
 namespace cedar {
 
@@ -202,14 +201,11 @@ Simulation::runUntil(Tick limit)
         _now = ev->_when;
         setCurrentErrorTick(_now);
         ++_events_executed;
-        DPRINTFN(Engine, _now, "sim", "event #", _events_executed, " '",
-                 ev->description(), "' fires");
         if (_event_limit && _events_executed > _event_limit) {
             panic("event limit of ", _event_limit,
                   " exceeded at tick ", _now,
                   "; runaway simulation suspected");
         }
-#ifndef CEDAR_NO_HOST_PROFILE
         if (_profiler) {
             // Latch the kind before dispatch: process() may hand the
             // event back to an owner that reuses or frees it.
@@ -220,9 +216,6 @@ Simulation::runUntil(Tick limit)
         } else {
             ev->process();
         }
-#else
-        ev->process();
-#endif
         if (_watchdog)
             _watchdog->onEvent(_now);
     }

@@ -63,7 +63,7 @@ class Event
     /** The event's action, run when simulated time reaches when(). */
     virtual void process() = 0;
 
-    /** Short static label for debug traces. */
+    /** Short static label: the event kind in host profiles and errors. */
     virtual const char *description() const { return "event"; }
 
     /** True while linked into a simulation's queue. */

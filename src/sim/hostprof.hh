@@ -13,12 +13,11 @@
  * loop pays a single null-pointer test; armed, two timestamp reads
  * and one pointer-keyed table bump per event. Profiling never feeds
  * back into simulated behaviour — results stay bit-identical with it
- * on, off, or compiled out (tests/test_telemetry.cc pins this).
+ * on or off (tests/test_telemetry.cc pins this).
  *
  * Arm per engine with Simulation::setProfiling(true), or process-wide
  * with CEDAR_HOST_PROFILE=1 in the environment (picked up at engine
- * construction). Define CEDAR_NO_HOST_PROFILE to compile the dispatch
- * hook out entirely; the reporting surface stays but reads empty.
+ * construction).
  */
 
 #ifndef CEDARSIM_SIM_HOSTPROF_HH

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <optional>
-#include <stdexcept>
+#include <exception>
 #include <utility>
 
 #include "exec/parallel.hh"
@@ -30,96 +30,6 @@ appendf(std::string &out, const char *fmt, Args... args)
     std::vector<char> buf(std::size_t(n) + 1);
     std::snprintf(buf.data(), buf.size(), fmt, args...);
     out.append(buf.data(), std::size_t(n));
-}
-
-/** <dir>/<scenario>.metrics.json — the sweep's resume cache entry. */
-std::string
-metricsPath(const std::string &dir, const std::string &scenario)
-{
-    return dir + "/" + scenario + ".metrics.json";
-}
-
-Json
-metricsToJson(const Metrics &m)
-{
-    Json values = Json::array();
-    for (const auto &v : m.values) {
-        Json vj = Json::object();
-        vj.set("key", Json::of(v.key));
-        vj.set("value", Json::of(v.value));
-        vj.set("checked", Json::of(v.checked));
-        if (v.checked) {
-            if (v.spec.paper == v.spec.paper)
-                vj.set("paper", Json::of(v.spec.paper));
-            vj.set("paper_tol", Json::of(v.spec.paper_tol));
-            vj.set("drift", Json::of(v.spec.drift));
-            vj.set("note", Json::of(v.spec.note));
-        }
-        values.push(std::move(vj));
-    }
-    Json top = Json::object();
-    top.set("v", Json::of(1.0));
-    top.set("values", std::move(values));
-    top.set("telemetry", Json::of(m.telemetry));
-    return top;
-}
-
-/** @throws std::runtime_error when @p obj has no member @p key */
-const Json &
-member(const Json &obj, const char *key)
-{
-    const Json *v = obj.get(key);
-    if (!v)
-        throw std::runtime_error(std::string("metrics cache: no '") + key +
-                                 "' member");
-    return *v;
-}
-
-/** @throws std::runtime_error on schema mismatch */
-Metrics
-metricsFromJson(const Json &j)
-{
-    Metrics m;
-    const Json &values = member(j, "values");
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        const Json &vj = values.at(i);
-        MetricValue v;
-        v.key = member(vj, "key").asString();
-        v.value = member(vj, "value").asNumber();
-        v.checked = member(vj, "checked").asBool();
-        if (v.checked) {
-            if (const Json *p = vj.get("paper"))
-                v.spec.paper = p->asNumber();
-            v.spec.paper_tol = member(vj, "paper_tol").asNumber();
-            v.spec.drift = member(vj, "drift").asNumber();
-            v.spec.note = member(vj, "note").asString();
-        }
-        m.values.push_back(std::move(v));
-    }
-    if (const Json *t = j.get("telemetry"); t && t->isString())
-        m.telemetry = t->asString();
-    return m;
-}
-
-/** Load one cached Metrics; empty optional when absent/unreadable. */
-std::optional<Metrics>
-loadCachedMetrics(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return std::nullopt;
-    std::string text;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    std::fclose(f);
-    try {
-        return metricsFromJson(Json::parse(text));
-    } catch (const std::exception &) {
-        // A torn/stale cache entry just means the scenario re-runs.
-        return std::nullopt;
-    }
 }
 
 } // namespace
@@ -151,8 +61,8 @@ ValidationReport::logText() const
                         unsigned(out.result.unknown_cells.size()),
                     checked, describeFailures(out.result).c_str());
         } else {
-            appendf(text, "ok   %-22s %3u cells%s\n", out.name.c_str(),
-                    checked, out.resumed ? " (resumed)" : "");
+            appendf(text, "ok   %-22s %3u cells\n", out.name.c_str(),
+                    checked);
         }
     }
     if (ran == 0) {
@@ -257,29 +167,17 @@ runValidation(const ValidationOptions &opts)
             // and the returned outcome (DESIGN.md §10).
             ScenarioOutcome out;
             out.name = s->name;
-            // Resume: a cached metrics file stands in for the run. The
-            // decision depends only on the filesystem at submission
-            // time, so report bytes stay jobs-independent.
-            if (opts.resume && !opts.checkpoint_dir.empty()) {
-                if (auto cached = loadCachedMetrics(
-                        metricsPath(opts.checkpoint_dir, s->name))) {
-                    out.metrics = std::move(*cached);
-                    out.resumed = true;
-                }
-            }
-            if (!out.resumed) {
-                ScenarioOptions sopts;
-                sopts.config_hook = opts.config_hook;
-                sopts.jobs = point_jobs;
-                if (!opts.telemetry_dir.empty())
-                    sopts.telemetry_interval = opts.telemetry_interval;
-                try {
-                    out.metrics = runScenario(*s, sopts);
-                } catch (const std::exception &e) {
-                    out.threw = true;
-                    out.error = e.what();
-                    return out;
-                }
+            ScenarioOptions sopts;
+            sopts.config_hook = opts.config_hook;
+            sopts.jobs = point_jobs;
+            if (!opts.telemetry_dir.empty())
+                sopts.telemetry_interval = opts.telemetry_interval;
+            try {
+                out.metrics = runScenario(*s, sopts);
+            } catch (const std::exception &e) {
+                out.threw = true;
+                out.error = e.what();
+                return out;
             }
             out.golden_path = goldenPath(golden_dir, s->name);
             if (opts.update)
@@ -309,21 +207,6 @@ runValidation(const ValidationOptions &opts)
         if (opts.update && !out.threw) {
             const Scenario *s = findScenario(out.name);
             saveGolden(out.golden_path, goldenFromRun(*s, out.metrics));
-        }
-        // The resume cache is written here in the serial reduce, after
-        // a successful fresh run (never for resumed or thrown ones, so
-        // a stale cache can't rewrite itself).
-        if (!opts.checkpoint_dir.empty() && !out.threw && !out.resumed) {
-            std::filesystem::create_directories(opts.checkpoint_dir);
-            std::string path = metricsPath(opts.checkpoint_dir, out.name);
-            std::string text = metricsToJson(out.metrics).dump(2) + "\n";
-            if (std::FILE *f = std::fopen(path.c_str(), "w")) {
-                std::fwrite(text.data(), 1, text.size(), f);
-                std::fclose(f);
-            } else {
-                std::fprintf(stderr, "checkpoint-dir: cannot write %s\n",
-                             path.c_str());
-            }
         }
         // Telemetry files are written here in the serial reduce, never
         // from workers, so their contents and creation order match the

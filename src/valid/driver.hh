@@ -62,18 +62,6 @@ struct ValidationOptions
     std::string telemetry_dir;
     /** Sampling period for --telemetry-dir runs, in ticks. */
     Tick telemetry_interval = 100'000;
-    /**
-     * When nonempty, every completed scenario's metrics are written to
-     * <dir>/<scenario>.metrics.json from the serial reduce — the
-     * sweep's resumable checkpoint. With `resume` additionally set,
-     * scenarios whose metrics file already exists are not re-run:
-     * their cached metrics are loaded and golden-checked exactly as a
-     * fresh run's would be, so an interrupted validation sweep picks
-     * up where it left off.
-     */
-    std::string checkpoint_dir;
-    /** Reuse cached metrics from checkpoint_dir instead of re-running. */
-    bool resume = false;
 };
 
 /** What happened to one scenario, in submission order. */
@@ -90,8 +78,6 @@ struct ScenarioOutcome
     /** Path written in update mode. */
     std::string golden_path;
     Metrics metrics;
-    /** Metrics came from the checkpoint-dir cache, not a fresh run. */
-    bool resumed = false;
 
     bool failed() const { return threw || golden_error || !result.ok(); }
 };

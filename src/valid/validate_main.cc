@@ -59,10 +59,6 @@ usage(const char *argv0, int code)
         "--jobs)\n"
         "  --telemetry-interval N  sampling period in ticks "
         "(default 100000)\n"
-        "  --checkpoint-dir DIR sweep resume cache: write "
-        "DIR/<scenario>.metrics.json after each completed scenario\n"
-        "  --resume             with --checkpoint-dir, reuse cached "
-        "metrics instead of re-running completed scenarios\n"
         "  --perturb KEY=VALUE  perturb the machine config "
         "(repeatable); e.g. gm.module_conflict_extra=3\n",
         argv0);
@@ -222,10 +218,6 @@ main(int argc, char **argv)
             vopts.golden_dir = next("a directory");
         } else if (arg == "--telemetry-dir") {
             vopts.telemetry_dir = next("a directory");
-        } else if (arg == "--checkpoint-dir") {
-            vopts.checkpoint_dir = next("a directory");
-        } else if (arg == "--resume") {
-            vopts.resume = true;
         } else if (arg == "--telemetry-interval") {
             const char *v = next("a tick count");
             char *end = nullptr;
@@ -280,16 +272,6 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "refusing --update-golden with --perturb: that "
                      "would freeze a perturbed machine as the truth\n");
-        return 2;
-    }
-    if (vopts.resume && vopts.checkpoint_dir.empty()) {
-        std::fprintf(stderr, "--resume needs --checkpoint-dir\n");
-        return 2;
-    }
-    if (vopts.update && vopts.resume) {
-        std::fprintf(stderr,
-                     "refusing --update-golden with --resume: goldens "
-                     "must be frozen from a fresh run\n");
         return 2;
     }
 

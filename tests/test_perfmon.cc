@@ -2,8 +2,8 @@
  * @file
  * Observability tests: the EventTracer and Histogrammer hardware
  * models (capacity, drop, cascade, saturation), the StatRegistry
- * (registration, glob aggregation, JSON dump), the debug-trace flag
- * machinery, and the Chrome trace-event exporter.
+ * (registration, glob aggregation, JSON dump), the monitor's probe
+ * points in real runs, and the Chrome trace-event exporter.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 
 #include <unistd.h>
 
@@ -21,7 +20,6 @@
 #include "machine/perfmon.hh"
 #include "runtime/loops.hh"
 #include "sim/statreg.hh"
-#include "sim/trace.hh"
 
 using namespace cedar;
 using namespace cedar::machine;
@@ -157,46 +155,6 @@ TEST(StatRegistry, DumpJsonNestsDottedNames)
     EXPECT_NE(json.find("\"d\": 1.5"), std::string::npos);
 }
 
-// --- debug tracing --------------------------------------------------
-
-TEST(Trace, FlagsEnableAndDisable)
-{
-    trace::disableAll();
-    EXPECT_FALSE(trace::enabled(trace::Flag::Cache));
-    trace::enable(trace::Flag::Cache);
-    EXPECT_TRUE(trace::enabled(trace::Flag::Cache));
-    EXPECT_FALSE(trace::enabled(trace::Flag::Net));
-    trace::disable(trace::Flag::Cache);
-    EXPECT_FALSE(trace::enabled(trace::Flag::Cache));
-}
-
-TEST(Trace, EnableByNameAndOutputFormat)
-{
-    trace::disableAll();
-    EXPECT_TRUE(trace::enableByName("GM"));
-    EXPECT_FALSE(trace::enableByName("NoSuchFlag"));
-    std::ostringstream os;
-    trace::setOutput(&os);
-    trace::print(42, "cedar.gm", "hello");
-    trace::setOutput(nullptr);
-    trace::disableAll();
-    EXPECT_EQ(os.str(), "42: cedar.gm: hello\n");
-}
-
-TEST(Trace, MachineTracesCacheActivityWhenEnabled)
-{
-    setLogQuiet(true);
-    trace::disableAll();
-    trace::enable(trace::Flag::GM);
-    std::ostringstream os;
-    trace::setOutput(&os);
-    machine::CedarMachine machine;
-    machine.gm().read(0, mem::globalAddr(0), 0);
-    trace::setOutput(nullptr);
-    trace::disableAll();
-    EXPECT_NE(os.str().find("cedar.gm: read port=0"), std::string::npos);
-}
-
 // --- the monitor wired into a real run ------------------------------
 
 namespace {
@@ -241,6 +199,78 @@ TEST(PerfMonitor, CapturesEventsAcrossSubsystems)
     EXPECT_GT(mon.signalCount(Signal::pfu_fill), 0u);
     EXPECT_GT(mon.signalCount(Signal::cache_miss), 0u);
     EXPECT_GT(mon.signalCount(Signal::loop_cdoall), 0u);
+}
+
+TEST(PerfMonitor, UncontendedGmReadRecordsFiveProbesInOrder)
+{
+    // The path Table 2's first-word latency crosses: forward network,
+    // module, reverse network. With nothing else in flight no probe
+    // sees a wait, and the reverse dequeue is the tick the data
+    // reaches the port.
+    setLogQuiet(true);
+    machine::CedarMachine machine;
+    machine.enableMonitoring();
+    mem::GmResult r = machine.gm().read(0, mem::globalAddr(0), 0);
+    machine.disableMonitoring();
+
+    const auto &events = machine.monitor().tracer().events();
+    const Signal expected[] = {Signal::net_enqueue, Signal::net_dequeue,
+                               Signal::module_service, Signal::net_enqueue,
+                               Signal::net_dequeue};
+    ASSERT_EQ(events.size(), std::size(expected));
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_EQ(events[i].signal, static_cast<std::uint32_t>(expected[i]))
+            << "event " << i << " should be " << signalName(expected[i]);
+    }
+    EXPECT_EQ(events[1].value, 0); // forward queueing
+    EXPECT_EQ(events[2].value, 0); // bank wait
+    EXPECT_EQ(events[4].value, 0); // reverse queueing
+    EXPECT_EQ(events[4].when, r.data_at_port);
+}
+
+TEST(PerfMonitor, CountsLoopSyncConflictAndWritebackSignals)
+{
+    setLogQuiet(true);
+    machine::CedarMachine machine;
+    machine.enableMonitoring();
+    runtime::LoopRunner loops(machine);
+    Addr base = machine.allocGlobal(4096);
+    // Self-scheduled XDOALL: the CEs claim iterations with
+    // Test-And-Operate on a shared counter and all read one word, so
+    // they contend for its module.
+    loops.xdoall(loops.cesOfClusters(1), 16,
+                 [base](unsigned, unsigned, std::deque<cluster::Op> &out) {
+                     out.push_back(cluster::Op::makeGlobalRead(base));
+                 });
+    // SDOALL over two clusters; each iteration's inner CDOALL consumes
+    // a prefetched stream.
+    loops.sdoall({0, 1}, 4, [base](unsigned, unsigned) {
+        runtime::LoopRunner::SdoallIteration it;
+        it.inner_iters = 8;
+        it.inner_body = [base](unsigned iter, unsigned,
+                               std::deque<cluster::Op> &out) {
+            out.push_back(cluster::Op::makePrefetch(base + iter * 32, 32));
+            out.push_back(cluster::Op::makeVectorFromPrefetch(32, 0, 2.0));
+        };
+        return it;
+    });
+    // A store stream dirties cluster 0's cache; the flush writes it back.
+    loops.cdoall(0, 8,
+                 [](unsigned iter, unsigned, std::deque<cluster::Op> &out) {
+                     out.push_back(cluster::Op::makeVector(
+                         32, cluster::VecSource::cluster_mem, 1.0,
+                         Addr(iter) * 32, 1, 1, true));
+                 });
+    machine.clusterAt(0).cache().flushAll(machine.sim().curTick());
+    machine.disableMonitoring();
+
+    const auto &mon = machine.monitor();
+    for (Signal s : {Signal::pfu_consume, Signal::sync_op,
+                     Signal::module_conflict, Signal::cache_writeback,
+                     Signal::loop_xdoall, Signal::loop_sdoall,
+                     Signal::loop_dispatch}) {
+        EXPECT_GT(mon.signalCount(s), 0u) << signalName(s);
+    }
 }
 
 TEST(PerfMonitor, DetachedMonitorRecordsNothing)
