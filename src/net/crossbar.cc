@@ -17,13 +17,15 @@ CrossbarNetwork::CrossbarNetwork(const std::string &name,
     initStages(1, port_queue_words);
 }
 
-std::vector<std::pair<unsigned, unsigned>>
-CrossbarNetwork::path(unsigned in_port, unsigned dest) const
+unsigned
+CrossbarNetwork::route(unsigned in_port, unsigned dest,
+                       std::uint32_t *out) const
 {
     sim_assert(in_port < numPorts(), "input port ", in_port,
                " out of range");
     sim_assert(dest < numPorts(), "destination ", dest, " out of range");
-    return {{0u, dest}};
+    out[0] = dest;
+    return 1;
 }
 
 } // namespace cedar::net

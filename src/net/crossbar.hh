@@ -19,8 +19,6 @@
 #define CEDARSIM_NET_CROSSBAR_HH
 
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "net/topology.hh"
 
@@ -47,8 +45,8 @@ class CrossbarNetwork : public Topology
     /** Fixed arbitration delay paid by every packet. */
     Cycles arbCycles() const { return entryDelay(); }
 
-    std::vector<std::pair<unsigned, unsigned>>
-    path(unsigned in_port, unsigned dest) const override;
+    unsigned route(unsigned in_port, unsigned dest,
+                   std::uint32_t *out) const override;
 
     /** Arbitration plus the single crosspoint hop. */
     Cycles

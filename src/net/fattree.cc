@@ -67,12 +67,13 @@ FatTreeNetwork::FatTreeNetwork(const std::string &name, unsigned num_ports,
     initStages(2 * _levels, port_queue_words);
 }
 
-std::vector<std::pair<unsigned, unsigned>>
-FatTreeNetwork::path(unsigned in_port, unsigned dest) const
+unsigned
+FatTreeNetwork::route(unsigned in_port, unsigned dest,
+                      std::uint32_t *out) const
 {
-    sim_assert(in_port < numPorts(), "input port ", in_port,
-               " out of range");
-    sim_assert(dest < numPorts(), "destination ", dest, " out of range");
+    const unsigned n = numPorts();
+    sim_assert(in_port < n, "input port ", in_port, " out of range");
+    sim_assert(dest < n, "destination ", dest, " out of range");
     // Lowest common ancestor: the smallest level whose subtree holds
     // both endpoints. A self-packet still transits its leaf switch.
     unsigned lca = 0;
@@ -80,20 +81,18 @@ FatTreeNetwork::path(unsigned in_port, unsigned dest) const
         ++lca;
     if (lca == 0)
         lca = 1;
-    std::vector<std::pair<unsigned, unsigned>> hops;
-    hops.reserve(2 * lca);
+    unsigned hops = 0;
     // Climb on the source's dedicated up links.
     for (unsigned i = 0; i < lca; ++i)
-        hops.emplace_back(i, in_port);
+        out[hops++] = i * n + in_port;
     // Descend: the link entering level j belongs to dest's level-j
     // subtree; the subtree's pow[j] parallel links are spread by
     // source index. Stage 2L-1-j orders the descent root-to-leaf.
     for (unsigned j = lca; j-- > 0;) {
         unsigned group = (dest / _pow[j]) * _pow[j];
-        hops.emplace_back(2 * _levels - 1 - j,
-                          group + in_port % _pow[j]);
+        out[hops++] = (2 * _levels - 1 - j) * n + group + in_port % _pow[j];
     }
-    sim_assert(hops.back().second == dest,
+    sim_assert(out[hops - 1] == (2 * _levels - 1) * n + dest,
                "fat tree routing did not terminate at destination");
     return hops;
 }

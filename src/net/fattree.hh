@@ -22,7 +22,6 @@
 #define CEDARSIM_NET_FATTREE_HH
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "net/topology.hh"
@@ -60,8 +59,8 @@ class FatTreeNetwork : public Topology
      * [0, L) are up links (port = source), stages [L, 2L) are down
      * links ordered root-to-leaf so the final stage is delivery.
      */
-    std::vector<std::pair<unsigned, unsigned>>
-    path(unsigned in_port, unsigned dest) const override;
+    unsigned route(unsigned in_port, unsigned dest,
+                   std::uint32_t *out) const override;
 
     /** Nearest pair still transits its leaf switch: up one, down one. */
     Cycles

@@ -5,6 +5,8 @@
 
 #include "omega.hh"
 
+#include <limits>
+
 #include "sim/error.hh"
 
 namespace cedar::net {
@@ -18,6 +20,10 @@ productOfRadices(const std::vector<unsigned> &radices)
     unsigned ports = 1;
     for (unsigned r : radices) {
         sim_assert(r >= 2, "stage radix must be at least 2, got ", r);
+        // A wrapped product would leave a zero tag-digit weight, and
+        // the routing tables would divide by it.
+        sim_assert(ports <= std::numeric_limits<unsigned>::max() / r,
+                   "stage radices overflow the port count");
         ports *= r;
     }
     return ports;
@@ -34,6 +40,27 @@ OmegaNetwork::OmegaNetwork(const std::string &name,
       _radices(std::move(stage_radices))
 {
     initStages(static_cast<unsigned>(_radices.size()), port_queue_words);
+    // A route is a fixed function of (wire, destination), so the
+    // shuffle and tag arithmetic (about five divisions a stage) runs
+    // once here, in 64 bits, rather than once per hop.
+    const std::uint64_t n = numPorts();
+    _switch_base.resize(_radices.size() * n);
+    _tag_digit.resize(_radices.size() * n);
+    std::uint64_t weight = n;
+    for (std::size_t s = 0; s < _radices.size(); ++s) {
+        const std::uint64_t r = _radices[s];
+        weight /= r;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            // Wire i: the generalized perfect shuffle picks the switch
+            // it enters. Destination i: its mixed-radix digit (Lawrie
+            // tag control) picks that switch's output.
+            std::uint64_t shuffled = (i * r) % n + (i * r) / n;
+            _switch_base[s * n + i] =
+                static_cast<std::uint32_t>(s * n + shuffled / r * r);
+            _tag_digit[s * n + i] =
+                static_cast<std::uint32_t>((i / weight) % r);
+        }
+    }
 }
 
 std::vector<unsigned>
@@ -52,28 +79,29 @@ OmegaNetwork::routingTag(unsigned dest) const
     return tag;
 }
 
-std::vector<std::pair<unsigned, unsigned>>
-OmegaNetwork::path(unsigned in_port, unsigned dest) const
+unsigned
+OmegaNetwork::route(unsigned in_port, unsigned dest,
+                    std::uint32_t *out) const
 {
-    sim_assert(in_port < numPorts(), "input port ", in_port,
-               " out of range");
-    std::vector<unsigned> tag = routingTag(dest);
-    std::vector<std::pair<unsigned, unsigned>> hops;
-    hops.reserve(_radices.size());
-    unsigned c = in_port;
-    unsigned n = numPorts();
-    for (std::size_t s = 0; s < _radices.size(); ++s) {
-        unsigned r = _radices[s];
-        // Generalized perfect shuffle of the wire index into this stage.
-        c = (c * r) % n + (c * r) / n;
-        unsigned sw = c / r;
-        // The tag digit selects the switch output (Lawrie tag control).
-        c = sw * r + tag[s];
-        hops.emplace_back(static_cast<unsigned>(s), c);
+    const unsigned n = numPorts();
+    sim_assert(in_port < n, "input port ", in_port, " out of range");
+    sim_assert(dest < n, "destination ", dest, " out of range");
+    const unsigned stages = static_cast<unsigned>(_radices.size());
+    // Indices into stage s's table rows. Hop s is port c of stage s,
+    // flat index s * N + c, so adding N indexes wire c in stage s + 1.
+    std::uint32_t wire = in_port;
+    std::uint32_t digit = dest;
+    for (unsigned s = 0; s < stages; ++s) {
+        std::uint32_t hop = _switch_base[wire] + _tag_digit[digit];
+        out[s] = hop;
+        wire = hop + n;
+        digit += n;
     }
-    sim_assert(c == dest, "routing did not terminate at destination: got ",
-               c, " expected ", dest);
-    return hops;
+    const std::uint32_t last = (stages - 1) * n;
+    sim_assert(out[stages - 1] == last + dest,
+               "routing did not terminate at destination: got ",
+               out[stages - 1] - last, " expected ", dest);
+    return stages;
 }
 
 } // namespace cedar::net

@@ -23,8 +23,8 @@
 #ifndef CEDARSIM_NET_OMEGA_HH
 #define CEDARSIM_NET_OMEGA_HH
 
+#include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "net/topology.hh"
@@ -62,8 +62,8 @@ class OmegaNetwork : public Topology
      */
     std::vector<unsigned> routingTag(unsigned dest) const;
 
-    std::vector<std::pair<unsigned, unsigned>>
-    path(unsigned in_port, unsigned dest) const override;
+    unsigned route(unsigned in_port, unsigned dest,
+                   std::uint32_t *out) const override;
 
     /** One hop latency per stage, uniform over all port pairs. */
     Cycles
@@ -74,6 +74,15 @@ class OmegaNetwork : public Topology
 
   private:
     std::vector<unsigned> _radices;
+    /**
+     * Lawrie routing tabulated per stage, both stage-major like the
+     * ports: _switch_base[s * N + c] is the flat index of the first
+     * output of the stage-s switch that wire c enters after the
+     * shuffle, and _tag_digit[s * N + d] is destination d's stage-s
+     * tag digit. Their sum is the hop's flat port index.
+     */
+    std::vector<std::uint32_t> _switch_base;
+    std::vector<std::uint32_t> _tag_digit;
 };
 
 } // namespace cedar::net

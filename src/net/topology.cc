@@ -6,6 +6,7 @@
 
 #include "topology.hh"
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "net/crossbar.hh"
@@ -39,6 +40,10 @@ void
 Topology::initStages(unsigned count, unsigned port_queue_words)
 {
     sim_assert(count >= 1, "network needs at least one stage");
+    sim_assert(count <= max_hops, "network has ", count,
+               " stages; routes hold at most ", max_hops);
+    sim_assert(std::uint64_t(count) * _num_ports <= UINT32_MAX,
+               "network has too many ports for 32-bit port indices");
     sim_assert(_ports.empty(), "stages already initialized");
     _queue_words = port_queue_words;
     _ports.resize(std::size_t(count) * _num_ports);
@@ -60,14 +65,30 @@ Topology::port(unsigned stage, unsigned index) const
     return _ports[std::size_t(stage) * _num_ports + index];
 }
 
+std::vector<std::pair<unsigned, unsigned>>
+Topology::path(unsigned in_port, unsigned dest) const
+{
+    std::uint32_t hops[max_hops];
+    unsigned count = route(in_port, dest, hops);
+    std::vector<std::pair<unsigned, unsigned>> out;
+    out.reserve(count);
+    for (unsigned h = 0; h < count; ++h)
+        out.emplace_back(hops[h] / _num_ports, hops[h] % _num_ports);
+    return out;
+}
+
 TraversalResult
 Topology::traverseOnce(unsigned in_port, unsigned dest, unsigned words,
                        Tick inject)
 {
+    // The hops go on the stack: every global-memory read routes two
+    // packets, and test_topology pins that traversal never allocates.
+    std::uint32_t hops[max_hops];
+    unsigned count = route(in_port, dest, hops);
     Tick t = inject + _entry_delay;
     Cycles queueing = 0;
-    for (auto [stage, idx] : path(in_port, dest)) {
-        LinkPort &port = _ports[std::size_t(stage) * _num_ports + idx];
+    for (unsigned h = 0; h < count; ++h) {
+        LinkPort &port = _ports[hops[h]];
         // Flow control: a bounded downstream queue holds the head
         // upstream until it has room. Entry can be delayed at most to
         // the port's busy horizon, so the start tick — and therefore

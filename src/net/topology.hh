@@ -20,6 +20,7 @@
 #ifndef CEDARSIM_NET_TOPOLOGY_HH
 #define CEDARSIM_NET_TOPOLOGY_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -76,12 +77,26 @@ class Topology : public Named, public Checkpointable
     virtual const char *kindName() const = 0;
 
     /**
-     * The (stage, output-port-index) pairs a packet visits from
-     * @p in_port to @p dest. Pure topology; no timing side effects.
-     * The final hop's port index must equal @p dest (self-routing).
+     * Most hops a route can take, and so the most stages a topology
+     * may have: an `unsigned` port count allows at most 31 omega
+     * stages (radix 2) or 62 fat-tree stages (arity 2).
      */
-    virtual std::vector<std::pair<unsigned, unsigned>>
-    path(unsigned in_port, unsigned dest) const = 0;
+    static constexpr unsigned max_hops = 64;
+
+    /**
+     * Write the output ports a packet visits from @p in_port to
+     * @p dest into @p out, in stage order, as flat indices
+     * (stage * numPorts() + port), and return their count: at most
+     * numStages(), so @p out needs max_hops entries. Pure topology;
+     * no timing side effects. The final hop must be port @p dest of
+     * the last stage (self-routing).
+     */
+    virtual unsigned route(unsigned in_port, unsigned dest,
+                           std::uint32_t *out) const = 0;
+
+    /** route() as (stage, output-port-index) pairs, for tests and reports. */
+    std::vector<std::pair<unsigned, unsigned>>
+    path(unsigned in_port, unsigned dest) const;
 
     /**
      * Minimum (uncontended) head latency through the network: the
@@ -161,7 +176,8 @@ class Topology : public Named, public Checkpointable
 
     /**
      * Build @p count stages of numPorts() link ports, each queueing
-     * @p port_queue_words words (0 = unbounded).
+     * @p port_queue_words words (0 = unbounded). Refuses more than
+     * max_hops stages, and more ports than a 32-bit flat index holds.
      */
     void initStages(unsigned count, unsigned port_queue_words);
 

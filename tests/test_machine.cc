@@ -1,14 +1,12 @@
 /**
  * @file
  * Whole-machine tests: configuration validation, the published
- * parameter budget, memory allocation, and the performance-monitoring
- * hardware models.
+ * parameter budget and memory allocation.
  */
 
 #include <gtest/gtest.h>
 
 #include "machine/cedar.hh"
-#include "machine/perfmon.hh"
 
 using namespace cedar;
 using namespace cedar::machine;
@@ -85,64 +83,4 @@ TEST(Machine, TotalFlopsSumsAllClusters)
 {
     CedarMachine machine;
     EXPECT_DOUBLE_EQ(machine.totalFlops(), 0.0);
-}
-
-// ---------------------------------------------------------------------
-// Performance monitors
-// ---------------------------------------------------------------------
-
-TEST(PerfMon, TracerCapturesTimestampedEvents)
-{
-    EventTracer tracer("tracer");
-    tracer.start();
-    tracer.post(100, 1, 42);
-    tracer.post(200, 2, 43);
-    ASSERT_EQ(tracer.events().size(), 2u);
-    EXPECT_EQ(tracer.events()[0].when, 100u);
-    EXPECT_EQ(tracer.events()[1].value, 43);
-}
-
-TEST(PerfMon, TracerIgnoresEventsWhenStopped)
-{
-    EventTracer tracer("tracer");
-    tracer.post(1, 1, 1); // not started
-    tracer.start();
-    tracer.post(2, 1, 1);
-    tracer.stopTracer();
-    tracer.post(3, 1, 1);
-    EXPECT_EQ(tracer.events().size(), 1u);
-}
-
-TEST(PerfMon, TracerCapacityIsOneMegaEventPerUnit)
-{
-    EventTracer tracer("tracer");
-    EXPECT_EQ(tracer.capacity(), 1u << 20);
-    EventTracer cascaded("tracer2", 3);
-    EXPECT_EQ(cascaded.capacity(), 3u << 20);
-}
-
-TEST(PerfMon, TracerDropsWhenFull)
-{
-    EventTracer tracer("tracer");
-    tracer.start();
-    for (std::size_t i = 0; i < tracer.capacity() + 10; ++i)
-        tracer.post(i, 0, 0);
-    EXPECT_EQ(tracer.events().size(), tracer.capacity());
-    EXPECT_EQ(tracer.droppedCount(), 10u);
-}
-
-TEST(PerfMon, HistogrammerCountsAndSaturates)
-{
-    Histogrammer hist("hist");
-    EXPECT_EQ(hist.numCounters(), std::size_t(1) << 16);
-    hist.sample(5);
-    hist.sample(5);
-    hist.sample(6);
-    EXPECT_EQ(hist.counter(5), 2u);
-    EXPECT_EQ(hist.counter(6), 1u);
-    EXPECT_NEAR(hist.mean(), (5.0 + 5.0 + 6.0) / 3.0, 1e-9);
-    hist.sample(1u << 17); // out of range
-    EXPECT_EQ(hist.outOfRangeCount(), 1u);
-    hist.clear();
-    EXPECT_EQ(hist.counter(5), 0u);
 }

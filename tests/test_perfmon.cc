@@ -98,6 +98,16 @@ TEST(Histogrammer, MeanIsBinWeighted)
     EXPECT_DOUBLE_EQ(h.mean(), (2.0 + 2.0 + 8.0) / 3.0);
 }
 
+TEST(Histogrammer, ClearZeroesCounters)
+{
+    Histogrammer h("h");
+    h.sample(5);
+    h.sample(5);
+    EXPECT_EQ(h.counter(5), 2u);
+    h.clear();
+    EXPECT_EQ(h.counter(5), 0u);
+}
+
 // --- glob matching --------------------------------------------------
 
 TEST(GlobMatch, LiteralAndStar)

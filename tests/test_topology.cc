@@ -4,13 +4,20 @@
  * uniqueness and self-routing, packet conservation, the min-latency
  * floor (the analytic bound the goldens annotate), and bisection
  * sanity, over multiple shape points per family — mirroring the omega
- * invariants test_net.cc has always pinned.
+ * invariants test_net.cc has always pinned. It also checks the omega's
+ * routing tables against Lawrie's arithmetic, and that traversal never
+ * allocates: this executable replaces the global operator new to
+ * count calls.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
 #include <set>
 #include <string>
 #include <vector>
@@ -33,6 +40,37 @@ using net::TopologyParams;
 
 namespace {
 
+/** Global operator new calls so far in this process. */
+std::atomic<std::size_t> allocations{0};
+
+} // namespace
+
+// Counting replacements for the global allocator; the array and
+// nothrow forms forward to these. Kept out of line so the compiler
+// does not pair an inlined free() with the new expression it serves.
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace {
+
 /** One topology instance under test, with a human-readable label. */
 struct Shape
 {
@@ -47,8 +85,12 @@ allShapes()
     std::vector<Shape> shapes;
     auto omega = [&](std::vector<unsigned> radices) {
         std::string label = "omega";
-        for (unsigned r : radices)
-            label += "." + std::to_string(r);
+        for (unsigned r : radices) {
+            // Appended piecewise: GCC 12 misreads "." + std::string&&
+            // as an overlapping copy (-Wrestrict).
+            label += '.';
+            label += std::to_string(r);
+        }
         shapes.push_back(
             {label, std::make_unique<OmegaNetwork>(label, radices, 1, 1)});
     };
@@ -120,6 +162,114 @@ TEST(Topology, PathsAreDeterministic)
             EXPECT_EQ(s.net->path(1 % n, dest), s.net->path(1 % n, dest));
         }
     }
+}
+
+// route() fills at most numStages() of the caller's max_hops slots and
+// ends on port dest of the last stage, for every family, including
+// the 2048-port fabrics CedarConfig::scaled(256) builds.
+TEST(Topology, RouteFitsItsStagesAndEndsAtDestination)
+{
+    std::vector<Shape> shapes = allShapes();
+    shapes.push_back({"omega.2048", std::make_unique<OmegaNetwork>(
+                                        "omega.2048",
+                                        std::vector<unsigned>{8, 8, 8, 4},
+                                        1, 1)});
+    shapes.push_back({"fattree.2048", std::make_unique<FatTreeNetwork>(
+                                          "fattree.2048", 2048, 0, 1, 1)});
+    shapes.push_back({"crossbar.2048", std::make_unique<CrossbarNetwork>(
+                                           "crossbar.2048", 2048, 1, 1)});
+    for (const Shape &s : shapes) {
+        SCOPED_TRACE(s.label);
+        unsigned n = s.net->numPorts();
+        ASSERT_LE(s.net->numStages(), Topology::max_hops);
+        std::uint32_t last = (s.net->numStages() - 1) * n;
+        std::uint32_t hops[Topology::max_hops];
+        // Every pair up to 256 ports, every 7th source beyond.
+        unsigned step = n > 256 ? 7 : 1;
+        for (unsigned src = 0; src < n; src += step) {
+            for (unsigned dest = 0; dest < n; ++dest) {
+                unsigned count = s.net->route(src, dest, hops);
+                ASSERT_GE(count, 1u);
+                ASSERT_LE(count, s.net->numStages());
+                ASSERT_EQ(hops[count - 1], last + dest)
+                    << src << "->" << dest;
+            }
+        }
+    }
+}
+
+// The omega's tabulated route must be Lawrie's arithmetic hop for
+// hop: the generalized perfect shuffle of the wire into each stage,
+// then the destination's tag digit selecting the switch output. The
+// shapes are every omega above plus the 512- and 2048-port shapes
+// CedarConfig::scaled builds; all pairs up to 512 ports, a seeded
+// sample at 2048.
+TEST(Topology, OmegaTableRouteMatchesLawrieArithmetic)
+{
+    const std::vector<std::vector<unsigned>> shapes = {
+        {8, 4},    {4, 8},    {8, 8},    {2, 2, 2},
+        {16},      {4, 4, 4}, {8, 8, 8}, {8, 8, 8, 4}};
+    for (const auto &radices : shapes) {
+        OmegaNetwork net("omega", radices, 1, 1);
+        const std::uint64_t n = net.numPorts();
+        SCOPED_TRACE(n);
+        auto expect_lawrie = [&](unsigned in, unsigned dest) {
+            std::vector<unsigned> tag = net.routingTag(dest);
+            auto hops = net.path(in, dest);
+            ASSERT_EQ(hops.size(), radices.size());
+            std::uint64_t c = in;
+            for (unsigned s = 0; s < radices.size(); ++s) {
+                std::uint64_t r = radices[s];
+                c = (c * r) % n + (c * r) / n;
+                c = c / r * r + tag[s];
+                ASSERT_EQ(hops[s].first, s);
+                ASSERT_EQ(hops[s].second, c)
+                    << in << "->" << dest << " stage " << s;
+            }
+        };
+        if (n <= 512) {
+            for (unsigned in = 0; in < n; ++in)
+                for (unsigned dest = 0; dest < n; ++dest)
+                    expect_lawrie(in, dest);
+        } else {
+            Rng rng(0x1A3E);
+            for (unsigned i = 0; i < 10'000; ++i) {
+                unsigned in = static_cast<unsigned>(rng.below(n));
+                expect_lawrie(in, static_cast<unsigned>(rng.below(n)));
+            }
+        }
+    }
+}
+
+// 65536 x 65537 wraps to 65536 ports in 32 bits; the constructor must
+// refuse it rather than divide by the zero tag-digit weight it leaves.
+TEST(Topology, OmegaRefusesRadicesThatOverflowThePortCount)
+{
+    EXPECT_THROW(OmegaNetwork("omega", {65536, 65537}, 1, 1), SimError);
+}
+
+// Every global-memory read routes two packets, so the traversal path
+// must not touch the heap: an allocation per packet is a measurable
+// share of a read.
+TEST(Topology, TraversalAllocatesNothing)
+{
+    for (const Shape &s : allShapes()) {
+        SCOPED_TRACE(s.label);
+        unsigned n = s.net->numPorts();
+        std::size_t before = allocations.load();
+        for (unsigned i = 0; i < 1000; ++i)
+            s.net->traverse(i % n, (7 * i + 3) % n, 1 + i % 4, 2 * i);
+        EXPECT_EQ(allocations.load() - before, 0u);
+    }
+}
+
+TEST(Topology, GlobalMemoryReadAllocatesNothing)
+{
+    mem::GlobalMemory gm("gm", mem::GlobalMemoryParams{});
+    std::size_t before = allocations.load();
+    for (unsigned i = 0; i < 1000; ++i)
+        gm.read(i % gm.numPorts(), mem::globalAddr(3 * i), 10 * i);
+    EXPECT_EQ(allocations.load() - before, 0u);
 }
 
 // Words injected must equal words counted at the delivery stage: no
