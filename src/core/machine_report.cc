@@ -23,8 +23,6 @@ snapshot(machine::CedarMachine &machine)
 
     snap.sim_events = static_cast<std::uint64_t>(
         reg.scalarValue("cedar.sim.events"));
-    snap.host_seconds = reg.scalarValue("cedar.sim.host_seconds");
-    snap.host_event_rate = reg.scalarValue("cedar.sim.host_event_rate");
 
     snap.gm_reads = reg.counterValue("cedar.gm.reads");
     snap.gm_writes = reg.counterValue("cedar.gm.writes");
@@ -32,6 +30,7 @@ snapshot(machine::CedarMachine &machine)
     const SampleStat &lat = reg.sampleStat("cedar.gm.read_latency");
     snap.gm_read_latency_mean = lat.mean();
     snap.gm_read_latency_max = lat.max();
+    snap.gm_min_read_latency = machine.gm().minReadLatency();
 
     snap.module_conflicts = reg.sumCounters("cedar.gm.mod*.conflicts");
     snap.module_wait_mean = reg.weightedMean("cedar.gm.mod*.wait");
@@ -67,9 +66,11 @@ snapshot(machine::CedarMachine &machine)
         reg.sumCounters("cedar.cluster*.ce*.pfu.requests");
     snap.pfu_latency_mean =
         reg.weightedMean("cedar.cluster*.ce*.pfu.latency");
+    snap.pfu_min_latency = snap.gm_min_read_latency +
+                           machine.config().cluster.pfu.buffer_fill;
 
     if (const HostProfiler *prof = machine.sim().profiler())
-        snap.host_profile = prof->table();
+        snap.profile = prof->table();
     return snap;
 }
 
@@ -89,7 +90,8 @@ renderReport(const MachineSnapshot &snap)
        << ", syncs " << snap.gm_syncs << "\n";
     os << "  read latency mean " << fmt(snap.gm_read_latency_mean, 1)
        << " / max " << fmt(snap.gm_read_latency_max, 0)
-       << " cycles (uncontended minimum 6)\n";
+       << " cycles (uncontended minimum " << snap.gm_min_read_latency
+       << ")\n";
     os << "  module conflicts " << snap.module_conflicts
        << ", mean bank wait " << fmt(snap.module_wait_mean, 2)
        << " cycles\n";
@@ -116,27 +118,25 @@ renderReport(const MachineSnapshot &snap)
     os << "\nprefetch units:\n";
     os << "  requests " << snap.pfu_requests << ", mean latency "
        << fmt(snap.pfu_latency_mean, 1)
-       << " cycles (hardware minimum 8)\n";
+       << " cycles (hardware minimum " << snap.pfu_min_latency << ")\n";
 
     os << "\nengine:\n";
-    os << "  " << snap.sim_events << " events in "
-       << fmt(snap.host_seconds, 3) << " host seconds ("
-       << fmt(snap.host_event_rate / 1e6, 2) << " M events/s)\n";
+    os << "  " << snap.sim_events << " events\n";
 
-    if (!snap.host_profile.empty()) {
+    if (!snap.profile.empty()) {
         double total = 0.0;
-        for (const auto &k : snap.host_profile)
+        for (const auto &k : snap.profile)
             total += k.seconds;
         os << "\nhost profile (top event kinds by exclusive host time):\n";
-        std::size_t top = std::min<std::size_t>(snap.host_profile.size(), 10);
+        std::size_t top = std::min<std::size_t>(snap.profile.size(), 10);
         for (std::size_t i = 0; i < top; ++i) {
-            const auto &k = snap.host_profile[i];
+            const auto &k = snap.profile[i];
             os << "  " << fmt(total > 0.0 ? 100.0 * k.seconds / total : 0.0, 1)
                << "%  " << fmt(k.seconds * 1e3, 2) << " ms  "
                << k.dispatches << " dispatches  " << k.kind << "\n";
         }
-        if (snap.host_profile.size() > top) {
-            os << "  ... " << (snap.host_profile.size() - top)
+        if (snap.profile.size() > top) {
+            os << "  ... " << (snap.profile.size() - top)
                << " more kinds\n";
         }
     }

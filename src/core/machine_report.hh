@@ -23,10 +23,8 @@ struct MachineSnapshot
 {
     Tick elapsed = 0;
 
-    // Engine (host-side performance of the simulator itself).
+    // Engine.
     std::uint64_t sim_events = 0;
-    double host_seconds = 0.0;
-    double host_event_rate = 0.0;
 
     // Global memory system.
     std::uint64_t gm_reads = 0;
@@ -34,6 +32,8 @@ struct MachineSnapshot
     std::uint64_t gm_syncs = 0;
     double gm_read_latency_mean = 0.0;
     double gm_read_latency_max = 0.0;
+    /** Uncontended read latency of this machine (minReadLatency()). */
+    Cycles gm_min_read_latency = 0;
     std::uint64_t module_conflicts = 0;
     double module_wait_mean = 0.0;
 
@@ -57,10 +57,12 @@ struct MachineSnapshot
     std::uint64_t total_ops = 0;
     std::uint64_t pfu_requests = 0;
     double pfu_latency_mean = 0.0;
+    /** Uncontended read plus the prefetch-buffer fill. */
+    Cycles pfu_min_latency = 0;
 
     /** Per-event-kind host time from this machine's engine; empty
      *  unless profiling was armed (see Simulation::setProfiling). */
-    std::vector<HostProfiler::KindStats> host_profile;
+    std::vector<HostProfiler::KindStats> profile;
 
     double
     mflops() const

@@ -14,7 +14,6 @@
 #include <unistd.h>
 
 #include "core/provenance.hh"
-#include "sim/engine.hh"
 #include "sim/hostprof.hh"
 #include "sim/logging.hh"
 #include "sim/statreg.hh"
@@ -162,20 +161,8 @@ BenchOutput::jsonLine() const
 void
 BenchOutput::emit()
 {
-    // Every bench JSON line carries engine throughput for free: events
-    // executed and host seconds across all Simulations in the process.
-    // Wall-clock derived, so scripts diffing bench output for
-    // determinism should ignore the host-time keys.
-    if (!_engine_metrics_added) {
-        _engine_metrics_added = true;
-        metric("sim_events", Simulation::globalEventsExecuted());
-        double host = Simulation::globalHostSeconds();
-        metric("sim_host_seconds", host);
-        metric("sim_host_event_rate",
-               host > 0.0 ? static_cast<double>(
-                                Simulation::globalEventsExecuted()) /
-                                host
-                          : 0.0);
+    if (!_provenance_added) {
+        _provenance_added = true;
         // Who/what/where produced this line (process-constant).
         const Provenance &p = provenance();
         metric("run_id", p.run_id);

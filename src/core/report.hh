@@ -77,7 +77,7 @@ class BenchOutput
     std::string _name;
     std::string _body;
     bool _json_only = false;
-    bool _engine_metrics_added = false;
+    bool _provenance_added = false;
     int _saved_stdout = -1;
 };
 

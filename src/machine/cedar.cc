@@ -74,8 +74,6 @@ CedarMachine::diagnosticBundle() const
            << " sync=" << _faults->syncTimeouts()
            << " ce=" << _faults->ceDropouts() << "\n";
     }
-    if (_telemetry)
-        os << _telemetry->statusLine() << "\n";
     auto waits = _watchdog.waitDescriptions();
     os << "in-flight waits: " << waits.size();
     for (const auto &w : waits)
@@ -119,13 +117,6 @@ CedarMachine::registerStats()
     _stats.addScalar(child("sim.ticks"), [this] {
         return static_cast<double>(_sim.curTick());
     });
-    // Host-side engine throughput. Wall-clock derived, so these two are
-    // the only registry entries that differ between identical runs;
-    // determinism comparisons must erase them before diffing snapshots.
-    _stats.addScalar(child("sim.host_seconds"),
-                     [this] { return _sim.hostSeconds(); });
-    _stats.addScalar(child("sim.host_event_rate"),
-                     [this] { return _sim.hostEventRate(); });
 }
 
 void

@@ -154,9 +154,8 @@ class CedarMachine : public Named
      * Arm interval telemetry: every params.interval ticks the sampler
      * snapshots the machine registry and streams a JSONL record into
      * @p sink (which must outlive this machine). The sampler starts
-     * immediately and closes itself out when the run drains; its
-     * status line joins the watchdog's diagnostic bundle. Replaces any
-     * previously armed sampler.
+     * immediately and closes itself out when the run drains. Replaces
+     * any previously armed sampler.
      * @return the armed sampler (machine-owned)
      */
     TelemetrySampler &enableTelemetry(const TelemetryParams &params,

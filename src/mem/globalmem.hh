@@ -80,7 +80,7 @@ struct GmResult
 };
 
 /** The globally shared memory plus its two networks. */
-class GlobalMemory : public Named, public Checkpointable
+class GlobalMemory : public Named
 {
   public:
     GlobalMemory(const std::string &name, const GlobalMemoryParams &params);
@@ -175,8 +175,8 @@ class GlobalMemory : public Named, public Checkpointable
      * spare's cells come from its own section, so no ECC rebuild is
      * re-run on restore.
      */
-    void saveState(CheckpointWriter &w) const override;
-    void restoreState(const CheckpointReader &r) override;
+    void saveState(CheckpointWriter &w) const;
+    void restoreState(const CheckpointReader &r);
 
   private:
     unsigned networkPortOfModule(unsigned module) const;

@@ -25,7 +25,7 @@
 namespace cedar::mem {
 
 /** A single interleaved memory module. */
-class MemoryModule : public Named, public Checkpointable
+class MemoryModule : public Named
 {
   public:
     /**
@@ -158,7 +158,7 @@ class MemoryModule : public Named, public Checkpointable
     }
 
     void
-    saveState(CheckpointWriter &w) const override
+    saveState(CheckpointWriter &w) const
     {
         auto &sec = w.section(name());
         sec.u64("bank_free", _bank_free);
@@ -188,7 +188,7 @@ class MemoryModule : public Named, public Checkpointable
     }
 
     void
-    restoreState(const CheckpointReader &r) override
+    restoreState(const CheckpointReader &r)
     {
         const auto &sec = r.section(name());
         _bank_free = sec.u64("bank_free");

@@ -53,7 +53,7 @@ struct TraversalResult
  * fat tree, crossbar) define the stage layout and routing; everything
  * timed or stateful lives here.
  */
-class Topology : public Named, public Checkpointable
+class Topology : public Named
 {
   public:
     ~Topology() override = default;
@@ -157,8 +157,8 @@ class Topology : public Named, public Checkpointable
     void resetStats();
 
     /** Every port's reservation clock and statistics, one section. */
-    void saveState(CheckpointWriter &w) const override;
-    void restoreState(const CheckpointReader &r) override;
+    void saveState(CheckpointWriter &w) const;
+    void restoreState(const CheckpointReader &r);
 
   protected:
     /**

@@ -269,29 +269,13 @@ class XdoallStream : public OpStream
 
 /**
  * Shared launch state for a CDOALL/XDOALL gang. The context is the
- * CeDoneListener of every CE it starts; its StartEvent member is the
+ * CeDoneListener of every CE it starts; its start_event member is the
  * one event a launch schedules. Contexts are pooled by the runner and
  * recycled at join, so repeated launches reuse the same objects.
  */
 struct LoopRunner::LoopContext : public cluster::CeDoneListener
 {
     explicit LoopContext(LoopRunner &r) : runner(r) {}
-
-    /** Fires at the gang's start tick and runs every CE's stream. */
-    class StartEvent : public Event
-    {
-      public:
-        explicit StartEvent(LoopContext &ctx)
-            : Event(EventPriority::normal), _ctx(ctx)
-        {
-        }
-
-        void process() override { _ctx.startGang(); }
-        const char *description() const override { return "loop.start"; }
-
-      private:
-        LoopContext &_ctx;
-    };
 
     /**
      * Per-CE stream of a CDOALL: iterations self-scheduled over the
@@ -349,13 +333,15 @@ struct LoopRunner::LoopContext : public cluster::CeDoneListener
         std::deque<Op> _queue;
     };
 
+    /** Runs every CE's stream; start_event fires it at the start tick. */
     void startGang();
 
     /** CeDoneListener: one CE exhausted its stream. */
     void ceDone() override;
 
     LoopRunner &runner;
-    StartEvent start_event{*this};
+    MemberEvent<LoopContext, &LoopContext::startGang> start_event{
+        *this, EventPriority::normal, "loop.start"};
     IterationBody body;
     RuntimeParams params;
     XdoallStream::Shared xdoall_shared{};
@@ -465,50 +451,11 @@ struct LoopRunner::SdoallContext
 
     struct Slot : public cluster::CeDoneListener, public LoopDoneListener
     {
-        explicit Slot(SdoallContext &c)
-            : ctx(c), pump_event(*this), dispatch_event(*this)
-        {
-        }
+        explicit Slot(SdoallContext &c) : ctx(c) {}
 
         /** Fetch the next iteration for this cluster. */
-        class PumpEvent : public Event
-        {
-          public:
-            explicit PumpEvent(Slot &slot)
-                : Event(EventPriority::normal), _slot(slot)
-            {
-            }
-
-            void process() override { _slot.pump(); }
-            const char *description() const override
-            {
-                return "sdoall.pump";
-            }
-
-          private:
-            Slot &_slot;
-        };
-
-        /** Start the fetched iteration's work on the cluster. */
-        class DispatchEvent : public Event
-        {
-          public:
-            explicit DispatchEvent(Slot &slot)
-                : Event(EventPriority::normal), _slot(slot)
-            {
-            }
-
-            void process() override { _slot.dispatch(); }
-            const char *description() const override
-            {
-                return "sdoall.dispatch";
-            }
-
-          private:
-            Slot &_slot;
-        };
-
         void pump();
+        /** Start the fetched iteration's work on the cluster. */
         void dispatch();
         void runInner();
 
@@ -522,8 +469,10 @@ struct LoopRunner::SdoallContext
         unsigned cluster = 0;
         SdoallIteration work;
         ProgramStream serial_stream;
-        PumpEvent pump_event;
-        DispatchEvent dispatch_event;
+        MemberEvent<Slot, &Slot::pump> pump_event{
+            *this, EventPriority::normal, "sdoall.pump"};
+        MemberEvent<Slot, &Slot::dispatch> dispatch_event{
+            *this, EventPriority::normal, "sdoall.dispatch"};
     };
 
     void finish();

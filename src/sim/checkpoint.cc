@@ -1,7 +1,7 @@
 /**
  * @file
  * Snapshot encoding, validated decoding, manifest rendering, and file
- * I/O for the Checkpointable contract.
+ * I/O.
  */
 
 #include "checkpoint.hh"

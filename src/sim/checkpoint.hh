@@ -1,7 +1,11 @@
 /**
  * @file
- * The Checkpointable serialization contract: a versioned,
- * self-describing binary snapshot of machine state.
+ * Checkpoints: a versioned, self-describing binary snapshot of
+ * machine state. Each checkpointed component has plain
+ * `saveState(CheckpointWriter &) const` and
+ * `restoreState(const CheckpointReader &)` members that own one or
+ * more named sections; the two must be exact inverses at a quiescent
+ * point (drained event queue).
  *
  * Snapshot layout (all integers little-endian, fixed width):
  *
@@ -231,23 +235,6 @@ class CheckpointReader
     std::map<std::string, std::size_t> _index;
     std::size_t _file_size = 0;
     std::uint32_t _file_crc = 0;
-};
-
-/**
- * The serialization contract. A component implementing it owns one or
- * more named sections in the snapshot; save and restore must be exact
- * inverses at a quiescent point (drained event queue).
- */
-class Checkpointable
-{
-  public:
-    virtual ~Checkpointable() = default;
-
-    /** Append this component's sections to @p w. */
-    virtual void saveState(CheckpointWriter &w) const = 0;
-
-    /** Restore this component's sections from @p r bit-for-bit. */
-    virtual void restoreState(const CheckpointReader &r) = 0;
 };
 
 /**

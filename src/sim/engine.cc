@@ -5,15 +5,10 @@
 
 #include "engine.hh"
 
-#include <chrono>
-
 #include "checkpoint.hh"
 #include "error.hh"
 
 namespace cedar {
-
-std::atomic<std::uint64_t> Simulation::s_global_events{0};
-std::atomic<std::uint64_t> Simulation::s_global_host_ns{0};
 
 Event::~Event()
 {
@@ -145,47 +140,14 @@ Simulation::restoreState(const CheckpointReader &r)
     _now = sec.u64("now");
     _next_seq = sec.u64("next_seq");
     _events_executed = sec.u64("events_executed");
-    _stop_requested = false;
 }
-
-namespace {
-
-/** Accumulates run-loop wall time on every exit path, throws included. */
-struct HostTimeScope
-{
-    explicit HostTimeScope(std::uint64_t &sink,
-                           std::atomic<std::uint64_t> &global)
-        : _sink(sink), _global(global),
-          _start(std::chrono::steady_clock::now())
-    {
-    }
-
-    ~HostTimeScope()
-    {
-        auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - _start)
-                      .count();
-        _sink += static_cast<std::uint64_t>(ns);
-        _global.fetch_add(static_cast<std::uint64_t>(ns),
-                          std::memory_order_relaxed);
-    }
-
-    std::uint64_t &_sink;
-    std::atomic<std::uint64_t> &_global;
-    std::chrono::steady_clock::time_point _start;
-};
-
-} // namespace
 
 Tick
 Simulation::runUntil(Tick limit)
 {
-    _stop_requested = false;
-    HostTimeScope host_time(_host_ns, s_global_host_ns);
-    std::uint64_t events_at_entry = _events_executed;
     if (_watchdog)
         _watchdog->onRunStart(_now);
-    while (!_heap.empty() && !_stop_requested) {
+    while (!_heap.empty()) {
         if (_heap.front()->_when > limit) {
             // Leave future events queued; advance time to the horizon so
             // repeated runUntil() calls compose naturally. A horizon
@@ -193,19 +155,12 @@ Simulation::runUntil(Tick limit)
             // schedule() accept ticks in the past.
             if (_now < limit)
                 _now = limit;
-            s_global_events.fetch_add(_events_executed - events_at_entry,
-                                      std::memory_order_relaxed);
             return _now;
         }
         Event *ev = popTop();
         _now = ev->_when;
         setCurrentErrorTick(_now);
         ++_events_executed;
-        if (_event_limit && _events_executed > _event_limit) {
-            panic("event limit of ", _event_limit,
-                  " exceeded at tick ", _now,
-                  "; runaway simulation suspected");
-        }
         if (_profiler) {
             // Latch the kind before dispatch: process() may hand the
             // event back to an owner that reuses or frees it.
@@ -219,10 +174,8 @@ Simulation::runUntil(Tick limit)
         if (_watchdog)
             _watchdog->onEvent(_now);
     }
-    if (_watchdog && _heap.empty() && !_stop_requested)
+    if (_watchdog)
         _watchdog->onDrain(_now);
-    s_global_events.fetch_add(_events_executed - events_at_entry,
-                              std::memory_order_relaxed);
     return _now;
 }
 

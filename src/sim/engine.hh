@@ -13,7 +13,6 @@
 #ifndef CEDARSIM_SIM_ENGINE_HH
 #define CEDARSIM_SIM_ENGINE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -90,7 +89,7 @@ class Simulation
     }
 
     /**
-     * Run until the queue drains or stop() is called.
+     * Run until the queue drains.
      * @return the tick at which execution stopped
      */
     Tick run();
@@ -103,9 +102,6 @@ class Simulation
      */
     Tick runUntil(Tick limit);
 
-    /** Ask the main loop to stop after the current event. */
-    void stop() { _stop_requested = true; }
-
     /** True once the event queue is empty. */
     bool empty() const { return _heap.empty(); }
 
@@ -114,34 +110,6 @@ class Simulation
 
     /** Number of events executed so far (for performance reporting). */
     std::uint64_t eventsExecuted() const { return _events_executed; }
-
-    /** Wall-clock seconds this engine has spent inside run loops. */
-    double hostSeconds() const { return _host_ns * 1e-9; }
-
-    /** Events dispatched per host second (0 before any run). */
-    double
-    hostEventRate() const
-    {
-        double s = hostSeconds();
-        return s > 0.0 ? static_cast<double>(_events_executed) / s : 0.0;
-    }
-
-    /** Events executed by every Simulation in this process. */
-    static std::uint64_t
-    globalEventsExecuted()
-    {
-        return s_global_events.load(std::memory_order_relaxed);
-    }
-
-    /** Host seconds spent in run loops by every Simulation. */
-    static double
-    globalHostSeconds()
-    {
-        return s_global_host_ns.load(std::memory_order_relaxed) * 1e-9;
-    }
-
-    /** Guard against runaway simulations; 0 disables the limit. */
-    void setEventLimit(std::uint64_t limit) { _event_limit = limit; }
 
     /**
      * Attach a liveness watchdog (nullptr detaches). The engine
@@ -222,19 +190,9 @@ class Simulation
     Tick _now = 0;
     std::uint64_t _next_seq = 0;
     std::uint64_t _events_executed = 0;
-    std::uint64_t _event_limit = 0;
-    bool _stop_requested = false;
     Watchdog *_watchdog = nullptr;
     /** Per-kind host-time attribution; allocated only when armed. */
     std::unique_ptr<HostProfiler> _profiler;
-
-    /** Host-time accounting, per engine and process-wide. The
-     *  process-wide totals are atomic because engines on concurrent
-     *  sweep threads all add to them; they are reporting aggregates
-     *  only and never feed back into simulated behaviour. */
-    std::uint64_t _host_ns = 0;
-    static std::atomic<std::uint64_t> s_global_events;
-    static std::atomic<std::uint64_t> s_global_host_ns;
 };
 
 } // namespace cedar

@@ -5,8 +5,6 @@
 
 #include "telemetry.hh"
 
-#include <chrono>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -18,16 +16,6 @@
 namespace cedar {
 
 namespace {
-
-/**
- * Host-clock registry entries (cedar.sim.host_seconds and friends) are
- * the only nondeterministic statistics; records must never carry them.
- */
-bool
-isHostClockStat(const std::string &name)
-{
-    return name.find(".host_") != std::string::npos;
-}
 
 /**
  * Distribution summary leaves are not additive, so per-interval deltas
@@ -43,31 +31,6 @@ isAdditiveLeaf(const std::string &name)
     };
     return !ends_with(".mean") && !ends_with(".min") &&
            !ends_with(".max") && !ends_with(".stddev");
-}
-
-std::uint64_t
-hostNowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-/** "1234567" -> "1.23M" style magnitude for status lines. */
-std::string
-humanCount(double v)
-{
-    char buf[32];
-    if (v >= 1e9)
-        std::snprintf(buf, sizeof(buf), "%.2fG", v * 1e-9);
-    else if (v >= 1e6)
-        std::snprintf(buf, sizeof(buf), "%.2fM", v * 1e-6);
-    else if (v >= 1e3)
-        std::snprintf(buf, sizeof(buf), "%.1fk", v * 1e-3);
-    else
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
 }
 
 } // namespace
@@ -135,8 +98,6 @@ TelemetrySampler::start()
     _prev = _reg.snapshot(_params.filter);
     _last_tick = _sim.curTick();
     _last_events = _sim.eventsExecuted();
-    _status_ns = hostNowNs();
-    _status_tick = _last_tick;
     _sim.schedule(_event, _sim.curTick() + _params.interval);
 }
 
@@ -212,8 +173,6 @@ TelemetrySampler::emitRecord(const char *kind, bool final_record)
     line += ",\"stats\":{";
     bool first = true;
     for (const auto &[name, value] : cur) {
-        if (isHostClockStat(name))
-            continue;
         if (!first)
             line += ',';
         first = false;
@@ -230,7 +189,7 @@ TelemetrySampler::emitRecord(const char *kind, bool final_record)
     first = true;
     std::vector<std::pair<const std::string *, double>> moved;
     for (const auto &[name, value] : cur) {
-        if (isHostClockStat(name) || !isAdditiveLeaf(name))
+        if (!isAdditiveLeaf(name))
             continue;
         auto it = _prev.find(name);
         double d = value - (it == _prev.end() ? 0.0 : it->second);
@@ -272,36 +231,6 @@ TelemetrySampler::emitRecord(const char *kind, bool final_record)
     _prev = std::move(cur);
     _last_tick = now;
     _last_events = events;
-    updateStatus();
-}
-
-void
-TelemetrySampler::updateStatus()
-{
-    const Tick tick = _sim.curTick();
-    const double dt = (hostNowNs() - _status_ns) * 1e-9;
-    const double ticks_per_s =
-        dt > 0.0 ? static_cast<double>(tick - _status_tick) / dt : 0.0;
-
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "[telemetry %s] tick %s, %s events drained, "
-                  "%s ticks/s, queue %zu, %" PRIu64 " records",
-                  _name.c_str(),
-                  humanCount(static_cast<double>(tick)).c_str(),
-                  humanCount(static_cast<double>(_sim.eventsExecuted()))
-                      .c_str(),
-                  humanCount(ticks_per_s).c_str(), _sim.queueDepth(),
-                  _records);
-    _status = buf;
-}
-
-std::string
-TelemetrySampler::statusLine() const
-{
-    if (!_status.empty())
-        return _status;
-    return "[telemetry " + _name + "] no records yet";
 }
 
 void
@@ -358,10 +287,6 @@ TelemetrySampler::restoreState(const CheckpointReader &r)
         std::string k = "prev" + std::to_string(i);
         _prev[sec.str(k + ".key")] = sec.f64(k + ".value");
     }
-    // Host-clock status state restarts; it never enters records.
-    _status_ns = hostNowNs();
-    _status_tick = _last_tick;
-    _status.clear();
 }
 
 } // namespace cedar

@@ -16,16 +16,12 @@
  * one interval (its own last event advances idle time to the next
  * boundary, deterministically), never indefinitely.
  *
- * Determinism contract: records carry only simulated-time quantities
- * (host-clock registry entries are filtered out), so the JSONL stream
- * is bit-identical across reruns and worker counts. Sampling adds
- * engine events — visible in `cedar.sim.events` — but never perturbs
- * component behaviour; golden cells are unchanged at any interval
- * (tests/test_telemetry.cc pins both properties).
- *
- * statusLine() is the one deliberately host-clocked surface: a
- * progress line (ticks/sec, events drained, queue depth) that feeds
- * the watchdog's diagnostic bundle and never enters a record.
+ * Determinism contract: the registry holds only simulated-time
+ * quantities, so the JSONL stream is bit-identical across reruns and
+ * worker counts. Sampling adds engine events — visible in
+ * `cedar.sim.events` — but never perturbs component behaviour; golden
+ * cells are unchanged at any interval (tests/test_telemetry.cc pins
+ * both properties).
  */
 
 #ifndef CEDARSIM_SIM_TELEMETRY_HH
@@ -93,11 +89,8 @@ struct TelemetryParams
 {
     /** Simulated ticks between interval records (must be > 0). */
     Tick interval = 100'000;
-    /**
-     * Glob over registered stat names selecting what each record
-     * carries. Host-clock entries (*.host_*) are always excluded so
-     * streams stay bit-identical across hosts and reruns.
-     */
+    /** Glob over registered stat names selecting what each record
+     *  carries. */
     std::string filter = "*";
 };
 
@@ -147,9 +140,6 @@ class TelemetrySampler
 
     const TelemetryParams &params() const { return _params; }
 
-    /** One-line progress summary for diagnostic bundles. */
-    std::string statusLine() const;
-
     /**
      * Interval state: previous snapshot, sequence number, window
      * clocks. A quiescent sampler has no scheduled event (it
@@ -164,7 +154,6 @@ class TelemetrySampler
   private:
     void fire();
     void emitRecord(const char *kind, bool final_record);
-    void updateStatus();
 
     std::string _name;
     Simulation &_sim;
@@ -183,11 +172,6 @@ class TelemetrySampler
     std::uint64_t _last_events = 0;
     bool _started = false;
     bool _finished = false;
-
-    /** Host-clock status state (reporting only, never in records). */
-    std::uint64_t _status_ns = 0;
-    Tick _status_tick = 0;
-    std::string _status;
 };
 
 } // namespace cedar

@@ -12,7 +12,7 @@
  *    mean (exactly, for this homogeneous workload);
  *  - warm_restore_identical: warm-up + saveCheckpoint + restore into a
  *    fresh machine + remaining units produces a byte-identical stat
- *    dump to the uninterrupted run (host-time scalars erased);
+ *    dump to the uninterrupted run;
  *  - live_point_stable: the live-point the sampler saves is
  *    byte-identical to one saved by hand at the same unit boundary;
  *  - reuse_identical: re-running the sampler from the cached
@@ -27,7 +27,6 @@
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,22 +37,6 @@
 namespace cedar::valid {
 
 namespace {
-
-/** Registry text dump without the wall-clock-derived host scalars —
- *  the only entries that legitimately differ between identical runs. */
-std::string
-strippedStats(machine::CedarMachine &m)
-{
-    std::istringstream in(m.stats().dumpText());
-    std::string line, out;
-    while (std::getline(in, line)) {
-        if (line.find(".host_") == std::string::npos) {
-            out += line;
-            out += '\n';
-        }
-    }
-    return out;
-}
 
 void
 runSampledRank64(ScenarioContext &ctx)
@@ -90,7 +73,7 @@ runSampledRank64(ScenarioContext &ctx)
         auto m = factory();
         for (unsigned u = 0; u < total_units; ++u)
             unit_rates.push_back(wl.run_unit(*m, u));
-        full_dump = strippedStats(*m);
+        full_dump = m->stats().dumpText();
     }
     double full_mean =
         std::accumulate(unit_rates.begin(), unit_rates.end(), 0.0) /
@@ -121,7 +104,7 @@ runSampledRank64(ScenarioContext &ctx)
         resumed->restoreCheckpoint(live_point);
         for (unsigned u = sp.warmup_units; u < total_units; ++u)
             wl.run_unit(*resumed, u);
-        resumed_dump = strippedStats(*resumed);
+        resumed_dump = resumed->stats().dumpText();
     }
     bool restore_identical = full_dump == resumed_dump;
     std::printf("warm restore vs uninterrupted: %s "

@@ -256,11 +256,7 @@ TEST(Determinism, SameSeedGivesIdenticalStatSnapshots)
         LoopRunner runner(machine);
         Addr data = machine.allocGlobal(256);
         runner.xdoall(runner.allCes(), 128, memoryBody(data));
-        auto snap = machine.stats().snapshot();
-        // Wall-clock derived, so legitimately different between runs.
-        snap.erase("cedar.sim.host_seconds");
-        snap.erase("cedar.sim.host_event_rate");
-        return snap;
+        return machine.stats().snapshot();
     };
     auto first = run();
     auto second = run();

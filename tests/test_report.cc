@@ -108,3 +108,48 @@ TEST(MachineReport, RenderMentionsEverySection)
         EXPECT_NE(report.find(section), std::string::npos) << section;
     }
 }
+
+TEST(MachineReport, RenderIsIdenticalAcrossRuns)
+{
+    cedar::setLogQuiet(true);
+    auto render = [] {
+        cedar::machine::CedarMachine machine;
+        // Host profiles are opt-in host time (CEDAR_HOST_PROFILE=1).
+        machine.sim().setProfiling(false);
+        cedar::kernels::VloadParams params;
+        params.ces = 8;
+        params.repetitions = 20;
+        cedar::kernels::runVload(machine, params);
+        return cedar::core::renderReport(cedar::core::snapshot(machine));
+    };
+    EXPECT_EQ(render(), render());
+}
+
+TEST(MachineReport, RenderPrintsThisMachinesLatencyFloors)
+{
+    using cedar::machine::CedarConfig;
+    struct Case
+    {
+        const char *name;
+        CedarConfig config;
+        const char *gm_floor;
+        const char *pfu_floor;
+    };
+    const Case cases[] = {
+        {"standard", CedarConfig::standard(), "(uncontended minimum 6)",
+         "(hardware minimum 8)"},
+        {"scaled(64) omega", CedarConfig::scaled(64),
+         "(uncontended minimum 8)", "(hardware minimum 10)"},
+        {"scaled(64) crossbar", CedarConfig::scaled(64, "crossbar"),
+         "(uncontended minimum 4)", "(hardware minimum 6)"},
+    };
+    for (const Case &c : cases) {
+        cedar::machine::CedarMachine machine(c.config);
+        std::string report =
+            cedar::core::renderReport(cedar::core::snapshot(machine));
+        EXPECT_NE(report.find(c.gm_floor), std::string::npos)
+            << c.name << "\n" << report;
+        EXPECT_NE(report.find(c.pfu_floor), std::string::npos)
+            << c.name << "\n" << report;
+    }
+}

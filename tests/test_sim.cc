@@ -126,32 +126,6 @@ TEST(Engine, RunUntilBelowNowNeverRewindsTheClock)
     EXPECT_EQ(sim.curTick(), 200u);
 }
 
-TEST(Engine, StopHaltsTheLoop)
-{
-    Simulation sim;
-    int fired = 0;
-    LambdaEvent stopper([&] {
-        ++fired;
-        sim.stop();
-    });
-    LambdaEvent later([&] { ++fired; });
-    sim.schedule(stopper, 1);
-    sim.schedule(later, 2);
-    sim.run();
-    EXPECT_EQ(fired, 1);
-    sim.run();
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(Engine, EventLimitGuardsRunaways)
-{
-    Simulation sim;
-    sim.setEventLimit(100);
-    LambdaEvent loop([&] { sim.scheduleIn(loop, 1); });
-    sim.schedule(loop, 0);
-    EXPECT_THROW(sim.run(), std::logic_error);
-}
-
 TEST(Types, TickConversionsRoundTrip)
 {
     EXPECT_DOUBLE_EQ(ticksToSeconds(0), 0.0);
@@ -317,7 +291,7 @@ TEST(EventObjects, MachineStatSnapshotsBitIdenticalAcrossRuns)
     // fresh machines running the same workload — touching every
     // converted path (CE advance, PFU consumption, CCB barriers,
     // CDOALL/XDOALL/SDOALL contexts) — must produce bit-identical
-    // stat registries, host-time keys aside.
+    // stat registries.
     auto run = [] {
         machine::CedarMachine machine;
         runtime::LoopRunner runner(machine);
@@ -348,10 +322,7 @@ TEST(EventObjects, MachineStatSnapshotsBitIdenticalAcrossRuns)
                 };
                 return it;
             });
-        auto snap = machine.stats().snapshot();
-        snap.erase("cedar.sim.host_seconds");
-        snap.erase("cedar.sim.host_event_rate");
-        return snap;
+        return machine.stats().snapshot();
     };
     auto first = run();
     auto second = run();
