@@ -125,9 +125,7 @@ main(int argc, char **argv)
             telemetry->write("{\"v\":1,\"kind\":\"point\",\"label\":"
                              "\"rank64 clusters=" +
                              std::to_string(clusters) + "\"}");
-            TelemetryParams params;
-            params.interval = interval;
-            machine.enableTelemetry(params, *telemetry);
+            machine.enableTelemetry(interval, *telemetry);
         }
         // Open the trace stream before the run: if the kernel dies in
         // a SimError, the stream's destructor still closes the JSON

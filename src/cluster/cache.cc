@@ -177,15 +177,6 @@ SharedCache::registerStats(StatRegistry &reg)
 }
 
 void
-SharedCache::resetStats()
-{
-    _hits.reset();
-    _misses.reset();
-    _writebacks.reset();
-    _bandwidth.resetStats();
-}
-
-void
 SharedCache::saveState(CheckpointWriter &w) const
 {
     auto &sec = w.section(name());

@@ -113,8 +113,6 @@ class SharedCache : public Named
     /** Register cache statistics under the component name. */
     void registerStats(StatRegistry &reg);
 
-    void resetStats();
-
     /** Full tag store, LRU clock, bandwidth clock, and counters. */
     void saveState(CheckpointWriter &w) const;
     void restoreState(const CheckpointReader &r);

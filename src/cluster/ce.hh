@@ -111,14 +111,6 @@ class ComputationalElement : public Named,
         _pfu->registerStats(reg);
     }
 
-    void
-    resetStats()
-    {
-        _flops = 0.0;
-        _ops.reset();
-        _pfu->resetStats();
-    }
-
     /**
      * Accumulated flops/ops and the PFU's state. Requires an idle CE:
      * op streams are workload closures and cannot be serialized, so a

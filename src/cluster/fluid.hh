@@ -77,13 +77,6 @@ class FluidResource
                (static_cast<double>(window) * _capacity);
     }
 
-    void
-    resetStats()
-    {
-        _words.reset();
-        _wait_slots.reset();
-    }
-
     /** Write the resource's mutable state under @p prefix. */
     void
     saveFields(CheckpointSectionWriter &w, const std::string &prefix) const

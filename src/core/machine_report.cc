@@ -43,13 +43,14 @@ snapshot(machine::CedarMachine &machine)
         reg.sampleStat("cedar.gm.fwd.queueing").mean();
     snap.rev_queueing_mean =
         reg.sampleStat("cedar.gm.rev.queueing").mean();
+    snap.gm_peak_words_per_cycle =
+        static_cast<double>(machine.gm().numModules()) /
+        machine.config().gm.module_access_cycles;
     if (snap.elapsed > 0) {
-        double peak_words =
-            static_cast<double>(machine.gm().numModules()) /
-            machine.config().gm.module_access_cycles *
-            static_cast<double>(snap.elapsed);
         snap.gm_bandwidth_utilization =
-            static_cast<double>(snap.rev_delivered_words) / peak_words;
+            static_cast<double>(snap.rev_delivered_words) /
+            (snap.gm_peak_words_per_cycle *
+             static_cast<double>(snap.elapsed));
     }
 
     snap.cache_hits = reg.sumCounters("cedar.cluster*.cache.hits");
@@ -103,9 +104,12 @@ renderReport(const MachineSnapshot &snap)
     os << "  reverse delivered " << snap.rev_delivered_words
        << " words, mean queueing " << fmt(snap.rev_queueing_mean, 2)
        << " cycles\n";
+    double peak_mb_s = snap.gm_peak_words_per_cycle * bytes_per_word /
+                       (ce_cycle_ns * 1e-9) / 1e6;
     os << "  global bandwidth utilization "
-       << fmt(100.0 * snap.gm_bandwidth_utilization, 1)
-       << "% of the 768 MB/s budget\n";
+       << fmt(100.0 * snap.gm_bandwidth_utilization, 1) << "% of the "
+       << snap.gm_peak_words_per_cycle << " words/cycle ("
+       << fmt(peak_mb_s, 0) << " MB/s) budget\n";
 
     os << "\nclusters:\n";
     os << "  cache hits " << snap.cache_hits << " / misses "

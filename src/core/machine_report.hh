@@ -42,7 +42,11 @@ struct MachineSnapshot
     std::uint64_t rev_delivered_words = 0;
     double fwd_queueing_mean = 0.0;
     double rev_queueing_mean = 0.0;
-    /** Delivered words / cycle over the window, vs the 16 w/cyc peak. */
+    /** This machine's global bandwidth budget: modules / module access
+     *  cycles (16 words/cycle on the standard machine). */
+    double gm_peak_words_per_cycle = 0.0;
+    /** Reverse-network words delivered per cycle over the window, as a
+     *  fraction of gm_peak_words_per_cycle. */
     double gm_bandwidth_utilization = 0.0;
 
     // Clusters (summed).

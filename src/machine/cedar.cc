@@ -82,11 +82,10 @@ CedarMachine::diagnosticBundle() const
 }
 
 TelemetrySampler &
-CedarMachine::enableTelemetry(const TelemetryParams &params,
-                              TelemetrySink &sink)
+CedarMachine::enableTelemetry(Tick interval, TelemetrySink &sink)
 {
     _telemetry = std::make_unique<TelemetrySampler>(name(), _sim, _stats,
-                                                    params, sink);
+                                                    interval, sink);
     _telemetry->start();
     return *_telemetry;
 }

@@ -92,14 +92,6 @@ class CedarMachine : public Named
     /** Total flops retired by every CE. */
     double totalFlops() const;
 
-    /** MFLOPS over a window ending now, given flops in that window. */
-    double
-    windowMflops(double flops, Tick window_start) const
-    {
-        Tick elapsed = _sim.curTick() - window_start;
-        return mflops(flops, elapsed);
-    }
-
     /** The machine-wide stat registry (populated at construction). */
     StatRegistry &stats() { return _stats; }
     const StatRegistry &stats() const { return _stats; }
@@ -151,15 +143,14 @@ class CedarMachine : public Named
     }
 
     /**
-     * Arm interval telemetry: every params.interval ticks the sampler
+     * Arm interval telemetry: every @p interval ticks the sampler
      * snapshots the machine registry and streams a JSONL record into
      * @p sink (which must outlive this machine). The sampler starts
      * immediately and closes itself out when the run drains. Replaces
      * any previously armed sampler.
      * @return the armed sampler (machine-owned)
      */
-    TelemetrySampler &enableTelemetry(const TelemetryParams &params,
-                                      TelemetrySink &sink);
+    TelemetrySampler &enableTelemetry(Tick interval, TelemetrySink &sink);
 
     /** The armed telemetry sampler, or nullptr. */
     TelemetrySampler *telemetry() { return _telemetry.get(); }

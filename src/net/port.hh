@@ -97,13 +97,6 @@ class LinkPort
     /** Distribution of queueing waits experienced at this port. */
     const SampleStat &waitStat() const { return _wait; }
 
-    void
-    resetStats()
-    {
-        _wait.reset();
-        _words.reset();
-    }
-
     /**
      * Write the port's state under @p prefix. Busy cycles and packets
      * are derived but still written, so the snapshot format is fixed.

@@ -172,16 +172,6 @@ Topology::deliveredWords() const
 }
 
 void
-Topology::resetStats()
-{
-    for (LinkPort &p : _ports)
-        p.resetStats();
-    _queueing.reset();
-    _retransmits.reset();
-    _backpressure.reset();
-}
-
-void
 Topology::saveState(CheckpointWriter &w) const
 {
     auto &sec = w.section(name());

@@ -154,8 +154,6 @@ class Topology : public Named
     /** Register this network's statistics under its component name. */
     void registerStats(StatRegistry &reg);
 
-    void resetStats();
-
     /** Every port's reservation clock and statistics, one section. */
     void saveState(CheckpointWriter &w) const;
     void restoreState(const CheckpointReader &r);

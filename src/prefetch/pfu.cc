@@ -277,15 +277,6 @@ PrefetchUnit::registerStats(StatRegistry &reg)
     reg.addSample(child("interarrival"), _interarrival);
 }
 
-void
-PrefetchUnit::resetStats()
-{
-    _latency.reset();
-    _interarrival.reset();
-    _requests.reset();
-    _page_crossings.reset();
-}
-
 namespace {
 
 std::string

@@ -149,8 +149,6 @@ class PrefetchUnit : public Named
     /** Register PFU statistics under the component name. */
     void registerStats(StatRegistry &reg);
 
-    void resetStats();
-
     /**
      * Arm state, buffer arrival records (a live block may be reused
      * after restore via canReuse), and statistics. Requires a quiescent

@@ -3,10 +3,9 @@
  * Loop runtime implementation: stream construction for the three DOALL
  * flavors and the self-scheduling protocols.
  *
- * Launch state lives in pooled context objects whose gang-start,
- * per-CE-done, and SDOALL pump/dispatch steps are event objects and
- * interface calls — once the pools are warm, driving a loop schedules
- * nothing on the heap.
+ * Launch state lives in one context object per launch whose
+ * gang-start, per-CE-done, and SDOALL pump/dispatch steps are event
+ * objects and interface calls.
  */
 
 #include "loops.hh"
@@ -270,12 +269,11 @@ class XdoallStream : public OpStream
 /**
  * Shared launch state for a CDOALL/XDOALL gang. The context is the
  * CeDoneListener of every CE it starts; its start_event member is the
- * one event a launch schedules. Contexts are pooled by the runner and
- * recycled at join, so repeated launches reuse the same objects.
+ * one event a launch schedules.
  */
 struct LoopRunner::LoopContext : public cluster::CeDoneListener
 {
-    explicit LoopContext(LoopRunner &r) : runner(r) {}
+    explicit LoopContext(LoopRunner &r) : runner(r), params(r._params) {}
 
     /**
      * Per-CE stream of a CDOALL: iterations self-scheduled over the
@@ -429,21 +427,14 @@ LoopRunner::LoopContext::ceDone()
     sim_assert(remaining > 0, "loop finished more CEs than it started");
     if (--remaining > 0)
         return;
-    // Release before notifying: every CE has detached from its stream,
-    // and the listener may immediately launch another loop that reuses
-    // this context.
-    LoopDoneListener *listener = done_listener;
-    done_listener = nullptr;
-    runner.releaseContext(this);
-    if (listener)
-        listener->loopDone();
+    if (done_listener)
+        done_listener->loopDone();
 }
 
 /**
  * Launch state for an SDOALL. Each participating cluster gets a slot
  * whose pump/dispatch steps are member events; the slot listens for
- * both its serial prologue's CE and its inner CDOALL's join, so the
- * dispatch cycle runs entirely on reusable objects.
+ * both its serial prologue's CE and its inner CDOALL's join.
  */
 struct LoopRunner::SdoallContext
 {
@@ -484,7 +475,7 @@ struct LoopRunner::SdoallContext
     unsigned idle = 0;
     unsigned num_clusters = 0;
     LoopDoneListener *done = nullptr;
-    /** One slot per participating cluster; kept across launches. */
+    /** One slot per participating cluster. */
     std::vector<std::unique_ptr<Slot>> slots;
 };
 
@@ -537,12 +528,8 @@ LoopRunner::SdoallContext::Slot::runInner()
 void
 LoopRunner::SdoallContext::finish()
 {
-    // Release before notifying, as with LoopContext::ceDone().
-    LoopDoneListener *listener = done;
-    done = nullptr;
-    runner.releaseSdoallContext(this);
-    if (listener)
-        listener->loopDone();
+    if (done)
+        done->loopDone();
 }
 
 LoopRunner::LoopRunner(machine::CedarMachine &m,
@@ -552,62 +539,6 @@ LoopRunner::LoopRunner(machine::CedarMachine &m,
 }
 
 LoopRunner::~LoopRunner() = default;
-
-LoopRunner::LoopContext &
-LoopRunner::acquireContext()
-{
-    LoopContext *ctx;
-    if (!_free_contexts.empty()) {
-        ctx = _free_contexts.back();
-        _free_contexts.pop_back();
-    } else {
-        _contexts.push_back(std::make_unique<LoopContext>(*this));
-        ctx = _contexts.back().get();
-    }
-    ctx->body = nullptr;
-    ctx->params = _params;
-    ctx->xdoall_shared = XdoallStream::Shared{};
-    ctx->streams.clear();
-    ctx->ces.clear();
-    ctx->remaining = 0;
-    ctx->done_listener = nullptr;
-    ctx->next_iter = 0;
-    ctx->n_iters = 0;
-    ctx->alive = 0;
-    return *ctx;
-}
-
-void
-LoopRunner::releaseContext(LoopContext *ctx)
-{
-    _free_contexts.push_back(ctx);
-}
-
-LoopRunner::SdoallContext &
-LoopRunner::acquireSdoallContext()
-{
-    SdoallContext *ctx;
-    if (!_free_sdoall_contexts.empty()) {
-        ctx = _free_sdoall_contexts.back();
-        _free_sdoall_contexts.pop_back();
-    } else {
-        _sdoall_contexts.push_back(std::make_unique<SdoallContext>(*this));
-        ctx = _sdoall_contexts.back().get();
-    }
-    ctx->body = nullptr;
-    ctx->next = 0;
-    ctx->n = 0;
-    ctx->idle = 0;
-    ctx->num_clusters = 0;
-    ctx->done = nullptr;
-    return *ctx;
-}
-
-void
-LoopRunner::releaseSdoallContext(SdoallContext *ctx)
-{
-    _free_sdoall_contexts.push_back(ctx);
-}
 
 void
 LoopRunner::cdoallAsync(unsigned cluster_idx, unsigned n_iters,
@@ -619,7 +550,8 @@ LoopRunner::cdoallAsync(unsigned cluster_idx, unsigned n_iters,
     sim_assert(n_ces <= cl.numCes(), "cluster has only ", cl.numCes(),
                " CEs");
 
-    LoopContext &ctx = acquireContext();
+    LoopContext &ctx =
+        *_contexts.emplace_back(std::make_unique<LoopContext>(*this));
     ctx.body = std::move(body);
     ctx.remaining = n_ces;
     ctx.done_listener = done;
@@ -655,7 +587,8 @@ LoopRunner::xdoallAsync(std::vector<unsigned> ces, unsigned n_iters,
                         Schedule sched)
 {
     sim_assert(!ces.empty(), "XDOALL needs at least one CE");
-    LoopContext &ctx = acquireContext();
+    LoopContext &ctx =
+        *_contexts.emplace_back(std::make_unique<LoopContext>(*this));
     ctx.body = std::move(body);
     ctx.remaining = static_cast<unsigned>(ces.size());
     ctx.done_listener = done;
@@ -708,13 +641,12 @@ LoopRunner::sdoallAsync(std::vector<unsigned> clusters, unsigned n_iters,
                         SdoallBody body, LoopDoneListener *done)
 {
     sim_assert(!clusters.empty(), "SDOALL needs at least one cluster");
-    SdoallContext &ctx = acquireSdoallContext();
+    SdoallContext &ctx = *_sdoall_contexts.emplace_back(
+        std::make_unique<SdoallContext>(*this));
     ctx.body = std::move(body);
     ctx.n = n_iters;
     ctx.num_clusters = static_cast<unsigned>(clusters.size());
     ctx.done = done;
-    while (ctx.slots.size() < clusters.size())
-        ctx.slots.push_back(std::make_unique<SdoallContext::Slot>(ctx));
 
     _machine.runtimeStats().sdoall_starts.inc();
     _machine.runtimeStats().iterations.inc(n_iters);
@@ -722,9 +654,10 @@ LoopRunner::sdoallAsync(std::vector<unsigned> clusters, unsigned n_iters,
                        n_iters);
 
     Tick start_at = _machine.sim().curTick() + _params.sdoall_startup;
-    for (std::size_t i = 0; i < clusters.size(); ++i) {
-        SdoallContext::Slot &slot = *ctx.slots[i];
-        slot.cluster = clusters[i];
+    for (unsigned cluster : clusters) {
+        SdoallContext::Slot &slot = *ctx.slots.emplace_back(
+            std::make_unique<SdoallContext::Slot>(ctx));
+        slot.cluster = cluster;
         _machine.sim().schedule(slot.pump_event, start_at);
     }
 }

@@ -51,9 +51,10 @@ class LoopDoneListener
 /**
  * Orchestrates parallel loops on a CedarMachine.
  *
- * Every launch runs on a pooled LoopContext whose gang start, per-CE
- * completion, and SDOALL pump/dispatch steps are event objects and
- * interface calls; a launch reports its join to a LoopDoneListener.
+ * Every launch runs on its own context, kept until the runner dies,
+ * whose gang start, per-CE completion, and SDOALL pump/dispatch steps
+ * are event objects and interface calls; a launch reports its join to
+ * a LoopDoneListener.
  */
 class LoopRunner
 {
@@ -62,7 +63,6 @@ class LoopRunner
                         const RuntimeParams &params = RuntimeParams{});
     ~LoopRunner();
 
-    machine::CedarMachine &machineRef() { return _machine; }
     const RuntimeParams &params() const { return _params; }
 
     /**
@@ -125,22 +125,13 @@ class LoopRunner
     friend struct LoopContext;
     friend struct SdoallContext;
 
-    LoopContext &acquireContext();
-    void releaseContext(LoopContext *ctx);
-    SdoallContext &acquireSdoallContext();
-    void releaseSdoallContext(SdoallContext *ctx);
-
     machine::CedarMachine &_machine;
     RuntimeParams _params;
 
-    /**
-     * Pooled launch state: a finished loop's context (and its event
-     * objects) is recycled by the next launch instead of reallocated.
-     */
+    /** Every launch's state; a CE's stream and done listener point
+     *  into it, so it outlives the loop. */
     std::vector<std::unique_ptr<LoopContext>> _contexts;
-    std::vector<LoopContext *> _free_contexts;
     std::vector<std::unique_ptr<SdoallContext>> _sdoall_contexts;
-    std::vector<SdoallContext *> _free_sdoall_contexts;
 };
 
 } // namespace cedar::runtime

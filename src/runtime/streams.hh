@@ -91,7 +91,6 @@ class GeneratorStream : public OpStream
 
     /** Push ops from the sync handler (e.g. retry a failed lock). */
     void pushFront(const Op &op) { _pending.push_front(op); }
-    void pushBack(const Op &op) { _pending.push_back(op); }
 
   private:
     Refill _refill;

@@ -5,7 +5,6 @@
 
 #include "error.hh"
 
-#include <cstdlib>
 #include <sstream>
 
 namespace cedar {
@@ -64,16 +63,6 @@ void
 setCurrentErrorTick(Tick tick)
 {
     current_tick = tick;
-}
-
-bool
-abortOnError()
-{
-    static const bool abort_requested = [] {
-        const char *v = std::getenv("CEDAR_ABORT_ON_ERROR");
-        return v != nullptr && v[0] == '1';
-    }();
-    return abort_requested;
 }
 
 } // namespace cedar

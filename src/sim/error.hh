@@ -14,9 +14,8 @@
  * SimError derives from std::logic_error so legacy catch sites (and
  * tests written against the old panic behaviour) keep working.
  *
- * Setting the environment variable CEDAR_ABORT_ON_ERROR=1 restores the
- * classic abort()-at-the-throw-site behaviour, which is occasionally
- * more convenient under a debugger (the stack is still live).
+ * To stop at the raise site with the stack live, use the debugger's
+ * `catch throw`: every raise site is a throw.
  */
 
 #ifndef CEDARSIM_SIM_ERROR_HH
@@ -84,9 +83,6 @@ Tick currentErrorTick();
 
 /** Engine-side hook: record the tick of the event being executed. */
 void setCurrentErrorTick(Tick tick);
-
-/** True when CEDAR_ABORT_ON_ERROR=1 asks for abort() instead of throw. */
-bool abortOnError();
 
 } // namespace cedar
 

@@ -37,11 +37,9 @@ class Simulation;
 /** Scheduling priorities for same-tick ordering. Lower runs first. */
 enum class EventPriority : int
 {
-    memory_response = -2, ///< data arrivals before consumers poll
-    network = -1,         ///< network movement before CE progress
-    normal = 0,           ///< default component activity
-    ce_progress = 1,      ///< CE state-machine advancement
-    stats = 2,            ///< end-of-tick statistics sampling
+    normal = 0,      ///< default component activity
+    ce_progress = 1, ///< CE state-machine advancement
+    stats = 2,       ///< end-of-tick statistics sampling
 };
 
 /**

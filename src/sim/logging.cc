@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 
 #include "error.hh"
 
@@ -39,8 +38,6 @@ panicImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "panic: %s\n  at %s:%d\n", msg.c_str(), file, line);
     std::fflush(stderr);
-    if (abortOnError())
-        std::abort();
     // Throw rather than abort() so tests can EXPECT the failure and
     // embedders can recover; the exception type is never caught in
     // normal simulator runs, so the effect for a user is still
@@ -53,8 +50,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s\n  at %s:%d\n", msg.c_str(), file, line);
     std::fflush(stderr);
-    if (abortOnError())
-        std::abort();
     throw SimError(SimError::Kind::config, "", currentErrorTick(), msg);
 }
 

@@ -8,9 +8,6 @@
  *            throws a SimError of kind `config`.
  * warn()   — something is modeled approximately; simulation continues.
  * inform() — plain status output.
- *
- * Set CEDAR_ABORT_ON_ERROR=1 to abort() instead of throwing (keeps the
- * failing stack alive under a debugger).
  */
 
 #ifndef CEDARSIM_SIM_LOGGING_HH

@@ -160,16 +160,6 @@ StatRegistry::find(const std::string &name) const
     return it == _entries.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string>
-StatRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(_entries.size());
-    for (const auto &[name, entry] : _entries)
-        out.push_back(name);
-    return out;
-}
-
 std::uint64_t
 StatRegistry::counterValue(const std::string &name) const
 {
@@ -237,12 +227,6 @@ StatRegistry::weightedMean(const std::string &pattern) const
 std::map<std::string, double>
 StatRegistry::snapshot() const
 {
-    return snapshot("*");
-}
-
-std::map<std::string, double>
-StatRegistry::snapshot(const std::string &pattern) const
-{
     std::map<std::string, double> out;
     auto expand = [&out](const std::string &name, const SampleStat &s) {
         out[name + ".count"] = static_cast<double>(s.count());
@@ -253,8 +237,6 @@ StatRegistry::snapshot(const std::string &pattern) const
         out[name + ".stddev"] = s.stddev();
     };
     for (const auto &[name, entry] : _entries) {
-        if (!globMatch(pattern, name))
-            continue;
         switch (entry.kind) {
           case Kind::counter:
             out[name] = static_cast<double>(entry.counter->value());
@@ -268,18 +250,6 @@ StatRegistry::snapshot(const std::string &pattern) const
         }
     }
     return out;
-}
-
-void
-StatRegistry::resetAll()
-{
-    for (auto &[name, entry] : _entries) {
-        switch (entry.kind) {
-          case Kind::counter: entry.counter->reset(); break;
-          case Kind::sample: entry.sample->reset(); break;
-          case Kind::scalar: break; // derived, nothing to reset
-        }
-    }
 }
 
 std::string

@@ -5,8 +5,8 @@
  * Components register their Counter / SampleStat members (and
  * derived scalar callbacks) under hierarchical dotted names such
  * as "cedar.cluster0.cache.misses". The registry then offers uniform
- * snapshot, reset, text-dump, and JSON-dump views of the whole
- * machine, so reports never hand-walk the component tree.
+ * snapshot, text-dump, and JSON-dump views of the whole machine, so
+ * reports never hand-walk the component tree.
  */
 
 #ifndef CEDARSIM_SIM_STATREG_HH
@@ -64,7 +64,7 @@ class StatRegistry
     /** Register a streaming sample statistic. */
     void addSample(const std::string &name, SampleStat &s);
 
-    /** Register a derived read-only scalar (not affected by reset). */
+    /** Register a derived read-only scalar. */
     void addScalar(const std::string &name, std::function<double()> fn);
 
     /** Number of registered entries. */
@@ -72,9 +72,6 @@ class StatRegistry
 
     /** Entry by exact name, or nullptr. */
     const Entry *find(const std::string &name) const;
-
-    /** All registered names, sorted. */
-    std::vector<std::string> names() const;
 
     /** Value of the counter registered as @p name (panics if absent). */
     std::uint64_t counterValue(const std::string &name) const;
@@ -103,15 +100,6 @@ class StatRegistry
      * ".stddev", ".sum").
      */
     std::map<std::string, double> snapshot() const;
-
-    /**
-     * Snapshot restricted to entries whose registered name matches the
-     * glob @p pattern (leaves expand from matching entries as above).
-     */
-    std::map<std::string, double> snapshot(const std::string &pattern) const;
-
-    /** Reset every registered counter and sample. */
-    void resetAll();
 
     /** One "name value" line per snapshot leaf. */
     std::string dumpText() const;

@@ -69,14 +69,11 @@ RingTelemetrySink::text() const
 
 TelemetrySampler::TelemetrySampler(const std::string &name,
                                    Simulation &sim,
-                                   const StatRegistry &reg,
-                                   const TelemetryParams &params,
+                                   const StatRegistry &reg, Tick interval,
                                    TelemetrySink &sink)
-    : _name(name), _sim(sim), _reg(reg), _params(params), _sink(sink)
+    : _name(name), _sim(sim), _reg(reg), _interval(interval), _sink(sink)
 {
-    sim_assert(_params.interval > 0, "telemetry interval must be positive");
-    if (_params.filter.empty())
-        _params.filter.push_back('*');
+    sim_assert(_interval > 0, "telemetry interval must be positive");
 }
 
 TelemetrySampler::~TelemetrySampler()
@@ -95,10 +92,10 @@ TelemetrySampler::start()
     _started = true;
     // Baseline snapshot so the first interval's deltas cover exactly
     // [start, start + interval).
-    _prev = _reg.snapshot(_params.filter);
+    _prev = _reg.snapshot();
     _last_tick = _sim.curTick();
     _last_events = _sim.eventsExecuted();
-    _sim.schedule(_event, _sim.curTick() + _params.interval);
+    _sim.schedule(_event, _sim.curTick() + _interval);
 }
 
 void
@@ -110,7 +107,7 @@ TelemetrySampler::resume()
     }
     _finished = false;
     if (!_event.scheduled())
-        _sim.schedule(_event, _sim.curTick() + _params.interval);
+        _sim.schedule(_event, _sim.curTick() + _interval);
 }
 
 void
@@ -139,13 +136,13 @@ TelemetrySampler::fire()
         return;
     }
     emitRecord("interval", false);
-    _sim.schedule(_event, _sim.curTick() + _params.interval);
+    _sim.schedule(_event, _sim.curTick() + _interval);
 }
 
 void
 TelemetrySampler::emitRecord(const char *kind, bool final_record)
 {
-    std::map<std::string, double> cur = _reg.snapshot(_params.filter);
+    std::map<std::string, double> cur = _reg.snapshot();
     const Tick now = _sim.curTick();
     const Tick window = now - _last_tick;
     const std::uint64_t events = _sim.eventsExecuted();
@@ -242,8 +239,7 @@ TelemetrySampler::saveState(CheckpointWriter &w) const
                         "are legal only at quiescent points");
     }
     auto &sec = w.section(_name + ".telemetry");
-    sec.u64("interval", _params.interval);
-    sec.str("filter", _params.filter);
+    sec.u64("interval", _interval);
     sec.u64("seq", _seq);
     sec.u64("records", _records);
     sec.u64("last_tick", _last_tick);
@@ -263,15 +259,12 @@ void
 TelemetrySampler::restoreState(const CheckpointReader &r)
 {
     const auto &sec = r.section(_name + ".telemetry");
-    if (sec.u64("interval") != _params.interval ||
-        sec.str("filter") != _params.filter) {
+    if (sec.u64("interval") != _interval) {
         checkpointError(_name,
-                        "snapshot telemetry parameters (interval " +
+                        "snapshot telemetry interval " +
                             std::to_string(sec.u64("interval")) +
-                            ", filter '" + sec.str("filter") +
-                            "') do not match this sampler's (interval " +
-                            std::to_string(_params.interval) +
-                            ", filter '" + _params.filter + "')");
+                            " does not match this sampler's " +
+                            std::to_string(_interval));
     }
     if (_event.scheduled())
         _sim.deschedule(_event);

@@ -84,16 +84,6 @@ class RingTelemetrySink : public TelemetrySink
     std::vector<std::string> _lines;
 };
 
-/** Tuning for one sampler. */
-struct TelemetryParams
-{
-    /** Simulated ticks between interval records (must be > 0). */
-    Tick interval = 100'000;
-    /** Glob over registered stat names selecting what each record
-     *  carries. */
-    std::string filter = "*";
-};
-
 /** Interval sampler bound to one engine and one stat registry. */
 class TelemetrySampler
 {
@@ -101,13 +91,14 @@ class TelemetrySampler
     /**
      * @param name component name carried in every record
      * @param sim  engine whose queue paces the sampling
-     * @param reg  registry snapshotted each interval
-     * @param params sampling parameters (interval must be positive)
+     * @param reg  registry snapshotted each interval; every record
+     *             carries all of it
+     * @param interval simulated ticks between interval records (> 0)
      * @param sink destination; must outlive the sampler
      */
     TelemetrySampler(const std::string &name, Simulation &sim,
-                     const StatRegistry &reg,
-                     const TelemetryParams &params, TelemetrySink &sink);
+                     const StatRegistry &reg, Tick interval,
+                     TelemetrySink &sink);
     ~TelemetrySampler();
 
     TelemetrySampler(const TelemetrySampler &) = delete;
@@ -138,8 +129,6 @@ class TelemetrySampler
     /** True once finish() has run. */
     bool finished() const { return _finished; }
 
-    const TelemetryParams &params() const { return _params; }
-
     /**
      * Interval state: previous snapshot, sequence number, window
      * clocks. A quiescent sampler has no scheduled event (it
@@ -158,7 +147,7 @@ class TelemetrySampler
     std::string _name;
     Simulation &_sim;
     const StatRegistry &_reg;
-    TelemetryParams _params;
+    Tick _interval;
     TelemetrySink &_sink;
 
     MemberEvent<TelemetrySampler, &TelemetrySampler::fire> _event{

@@ -60,8 +60,6 @@ Watchdog::onRunStart(Tick now)
 void
 Watchdog::onEvent(Tick now)
 {
-    if (!_params.enabled)
-        return;
     if (++_events_since_check < _params.check_every_events)
         return;
     _events_since_check = 0;
@@ -78,7 +76,7 @@ Watchdog::onEvent(Tick now)
 void
 Watchdog::onDrain(Tick now)
 {
-    if (!_params.enabled || _waits.empty())
+    if (_waits.empty())
         return;
     std::ostringstream os;
     os << "event queue drained with " << _waits.size()
@@ -99,8 +97,6 @@ Watchdog::raise(SimError::Kind kind, Tick now, const std::string &message)
             std::fprintf(stderr, "---- diagnostic bundle ----\n%s\n",
                          diag.c_str());
     }
-    if (abortOnError())
-        std::abort();
     throw SimError(kind, name(), now, message, std::move(diag));
 }
 

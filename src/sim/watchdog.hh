@@ -47,8 +47,6 @@ class CheckpointReader;
 /** Tuning knobs for the liveness watchdog. */
 struct WatchdogParams
 {
-    /** Master switch; disabled watchdogs never raise. */
-    bool enabled = true;
     /** Ticks without a forward-progress marker before livelock fires.
      *  Generous by default: 50M ticks is 8.5 simulated seconds, three
      *  orders of magnitude above any legitimate gap in the workloads. */

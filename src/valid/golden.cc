@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -56,8 +55,6 @@ GoldenFile::find(const std::string &key) const
 std::string
 goldenDir()
 {
-    if (const char *env = std::getenv("CEDAR_GOLDEN_DIR"); env && *env)
-        return env;
     return CEDAR_GOLDEN_DIR_DEFAULT;
 }
 
@@ -73,8 +70,8 @@ loadGolden(const std::string &path)
     std::ifstream in(path);
     if (!in) {
         throw std::runtime_error("golden: cannot open " + path +
-                                 " (set CEDAR_GOLDEN_DIR or run "
-                                 "cedar_validate --update-golden)");
+                                 " (pass --golden-dir DIR to cedar_validate, "
+                                 "or refreeze with --update-golden)");
     }
     std::ostringstream buf;
     buf << in.rdbuf();

@@ -89,8 +89,8 @@ struct CheckResult
 };
 
 /**
- * Directory holding the golden files: $CEDAR_GOLDEN_DIR when set,
- * otherwise the compiled-in source-tree tests/golden path.
+ * Directory holding the golden files: the compiled-in source-tree
+ * tests/golden path (cedar_validate --golden-dir overrides it).
  */
 std::string goldenDir();
 

@@ -96,9 +96,7 @@ ScenarioContext::observe(machine::CedarMachine &m,
         return;
     _telemetry.write("{\"v\":1,\"kind\":\"point\",\"label\":\"" +
                      jsonEscape(point) + "\"}");
-    TelemetryParams params;
-    params.interval = _opts.telemetry_interval;
-    m.enableTelemetry(params, _telemetry);
+    m.enableTelemetry(_opts.telemetry_interval, _telemetry);
 }
 
 Metrics

@@ -105,16 +105,4 @@ VirtualMemory::vmCycles(unsigned cluster) const
     return _tlbs[cluster].vm_cycles;
 }
 
-void
-VirtualMemory::resetStats()
-{
-    _hits.reset();
-    _refills.reset();
-    _first_touches.reset();
-    for (auto &tlb : _tlbs) {
-        tlb.faults = 0;
-        tlb.vm_cycles = 0;
-    }
-}
-
 } // namespace cedar::xylem

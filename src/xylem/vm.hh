@@ -102,8 +102,6 @@ class VirtualMemory : public Named
 
     const VmParams &params() const { return _params; }
 
-    void resetStats();
-
   private:
     struct Tlb
     {

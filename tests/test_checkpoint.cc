@@ -394,9 +394,7 @@ TEST(CheckpointMachine, RefusesTelemetryAsymmetry)
 
     RingTelemetrySink sink;
     machine::CedarMachine armed;
-    TelemetryParams params;
-    params.interval = 10'000;
-    armed.enableTelemetry(params, sink);
+    armed.enableTelemetry(10'000, sink);
     expectCheckpointError([&] { armed.restoreCheckpoint(no_telemetry); },
                           "snapshot without telemetry into armed machine");
 
@@ -407,6 +405,12 @@ TEST(CheckpointMachine, RefusesTelemetryAsymmetry)
     expectCheckpointError(
         [&] { bare.restoreCheckpoint(with_telemetry); },
         "telemetry snapshot into bare machine");
+
+    machine::CedarMachine other_interval;
+    other_interval.enableTelemetry(20'000, sink);
+    expectCheckpointError(
+        [&] { other_interval.restoreCheckpoint(with_telemetry); },
+        "telemetry snapshot at another interval");
 }
 
 TEST(CheckpointMachine, RefusesFaultAsymmetry)
@@ -451,14 +455,13 @@ TEST(CheckpointMachine, FaultInjectionAutoArmsOnRestore)
 
 TEST(CheckpointMachine, TelemetryContinuesBitIdentically)
 {
-    TelemetryParams params;
-    params.interval = 25'000;
+    const Tick interval = 25'000;
     Workload w{"t", kernels::Rank64Version::gm_prefetch, 1, nullptr};
 
     // Uninterrupted: unit 0, checkpoint in passing, unit 1.
     RingTelemetrySink sink_a;
     machine::CedarMachine a;
-    a.enableTelemetry(params, sink_a);
+    a.enableTelemetry(interval, sink_a);
     runUnit(a, w);
     std::string snap = a.saveCheckpoint();
     a.telemetry()->resume();
@@ -467,7 +470,7 @@ TEST(CheckpointMachine, TelemetryContinuesBitIdentically)
     // Restored twin: arm an identical sampler, restore, resume.
     RingTelemetrySink sink_b;
     machine::CedarMachine b;
-    b.enableTelemetry(params, sink_b);
+    b.enableTelemetry(interval, sink_b);
     b.restoreCheckpoint(snap);
     b.telemetry()->resume();
     runUnit(b, w);

@@ -458,15 +458,3 @@ TEST(WatchdogTest, QuietOnHealthyRuns)
     EXPECT_EQ(machine.watchdog().pendingWaits(), 0u);
     EXPECT_GT(machine.watchdog().progressMarks(), 0u);
 }
-
-TEST(WatchdogTest, DisabledWatchdogLetsDrainPass)
-{
-    machine::CedarConfig cfg;
-    cfg.watchdog.enabled = false;
-    machine::CedarMachine machine(cfg);
-    auto &cl = machine.clusterAt(0);
-    unsigned barrier = cl.newBarrier(2);
-    runtime::ProgramStream stream({cluster::Op::makeBarrier(barrier)});
-    cl.ce(0).run(&stream, nullptr);
-    EXPECT_NO_THROW(machine.sim().run()); // legacy silent-hang behavior
-}

@@ -110,8 +110,6 @@ TEST(Omega, DeliveredWordsCounts)
     net.traverse(0, 5, 2, 0);
     net.traverse(1, 5, 3, 10);
     EXPECT_EQ(net.deliveredWords(), 5u);
-    net.resetStats();
-    EXPECT_EQ(net.deliveredWords(), 0u);
 }
 
 TEST(Omega, UtilizationTracksBusyCycles)

@@ -152,19 +152,6 @@ TEST(PfuFlowControl, OutstandingWindowThrottlesIssue)
     EXPECT_LT(pfu.latencyStat().max(), 4 * 6 + 30.0);
 }
 
-TEST(PfuStats, ResetClearsEverything)
-{
-    Simulation sim;
-    mem::GlobalMemory gm("gm", mem::GlobalMemoryParams{});
-    PrefetchUnit pfu("pfu", sim, gm, 0, PfuParams{});
-    pfu.fire(mem::globalAddr(0), 32, 1, 0);
-    sim.run();
-    EXPECT_GT(pfu.requestsIssued(), 0u);
-    pfu.resetStats();
-    EXPECT_EQ(pfu.requestsIssued(), 0u);
-    EXPECT_EQ(pfu.latencyStat().count(), 0u);
-}
-
 // ---------------------------------------------------------------------
 // Masked prefetch and buffer reuse (paper: the PFU is armed with
 // length, stride, AND mask; prefetched data can be reused in place)

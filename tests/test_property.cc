@@ -43,10 +43,11 @@ const auto *quiet_env =
     ::testing::AddGlobalTestEnvironment(new QuietEnv);
 
 constexpr EventPriority all_priorities[] = {
-    EventPriority::memory_response, EventPriority::network,
-    EventPriority::normal,          EventPriority::ce_progress,
+    EventPriority::normal,
+    EventPriority::ce_progress,
     EventPriority::stats,
 };
+constexpr unsigned num_priorities = std::size(all_priorities);
 
 /** One observed firing: when, at what priority, and which corpus
  *  event it was (its schedule order). */
@@ -72,7 +73,7 @@ runRandomSchedule(std::uint64_t seed, unsigned n, Tick horizon)
     std::vector<std::pair<Tick, int>> expected(n);
     for (unsigned i = 0; i < n; ++i) {
         Tick when = static_cast<Tick>(rng.below(horizon));
-        EventPriority prio = all_priorities[rng.below(5)];
+        EventPriority prio = all_priorities[rng.below(num_priorities)];
         expected[i] = {when, static_cast<int>(prio)};
         auto record = [&fired, &sim, prio, i] {
             fired.push_back({sim.curTick(), static_cast<int>(prio), i});
@@ -143,7 +144,7 @@ TEST(EngineProperty, ChainedSchedulingStaysOrderedAndDeterministic)
             for (unsigned c = 0; c < children && budget > 0; ++c) {
                 --budget;
                 Cycles delay = rng.below(20);
-                EventPriority prio = all_priorities[rng.below(5)];
+                EventPriority prio = all_priorities[rng.below(num_priorities)];
                 sim.scheduleIn(events.emplace_back(spawn, prio), delay);
             }
         };
@@ -159,7 +160,7 @@ TEST(EngineProperty, ChainedSchedulingStaysOrderedAndDeterministic)
 
 TEST(EngineProperty, SameTickPriorityClassesFireLowestFirst)
 {
-    // All five classes at one tick, scheduled in reverse priority
+    // Every class at one tick, scheduled in reverse priority
     // order: the class values must come out ascending regardless.
     Simulation sim;
     std::vector<int> order;
@@ -171,7 +172,7 @@ TEST(EngineProperty, SameTickPriorityClassesFireLowestFirst)
         sim.schedule(events.emplace_back(record, p), 5);
     }
     sim.run();
-    ASSERT_EQ(order.size(), 5u);
+    ASSERT_EQ(order.size(), num_priorities);
     EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
 }
 

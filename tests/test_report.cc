@@ -125,6 +125,24 @@ TEST(MachineReport, RenderIsIdenticalAcrossRuns)
     EXPECT_EQ(render(), render());
 }
 
+TEST(MachineReport, RenderPrintsThisMachinesBandwidthBudget)
+{
+    using cedar::machine::CedarConfig;
+    // modules / module access cycles, at 8 bytes a word and 170 ns a
+    // cycle.
+    const std::pair<CedarConfig, const char *> cases[] = {
+        {CedarConfig::standard(), "% of the 16 words/cycle (753 MB/s) budget"},
+        {CedarConfig::scaled(64),
+         "% of the 256 words/cycle (12047 MB/s) budget"},
+    };
+    for (const auto &[config, budget] : cases) {
+        cedar::machine::CedarMachine machine(config);
+        std::string report =
+            cedar::core::renderReport(cedar::core::snapshot(machine));
+        EXPECT_NE(report.find(budget), std::string::npos) << report;
+    }
+}
+
 TEST(MachineReport, RenderPrintsThisMachinesLatencyFloors)
 {
     using cedar::machine::CedarConfig;

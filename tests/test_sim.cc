@@ -58,8 +58,9 @@ TEST(Engine, SameTickOrderedByPriorityThenInsertion)
 {
     Simulation sim;
     std::vector<int> order;
-    RecordingEvent second(order, 2), third(order, 3);
-    RecordingEvent first(order, 1, EventPriority::memory_response);
+    RecordingEvent second(order, 2, EventPriority::ce_progress);
+    RecordingEvent third(order, 3, EventPriority::ce_progress);
+    RecordingEvent first(order, 1);
     sim.schedule(second, 5);
     sim.schedule(third, 5);
     sim.schedule(first, 5);
@@ -273,9 +274,9 @@ TEST(EventObjects, SameTickMemberEventsOrderedByPriorityThenSeq)
     Simulation sim;
     std::vector<int> log;
     RecordingEvent late(log, 3, EventPriority::stats);
-    RecordingEvent first(log, 1, EventPriority::memory_response);
-    RecordingEvent mid_a(log, 2, EventPriority::normal);
-    RecordingEvent mid_b(log, 4, EventPriority::normal);
+    RecordingEvent first(log, 1, EventPriority::normal);
+    RecordingEvent mid_a(log, 2, EventPriority::ce_progress);
+    RecordingEvent mid_b(log, 4, EventPriority::ce_progress);
     sim.schedule(late, 10);
     sim.schedule(mid_a, 10);
     sim.schedule(first, 10);

@@ -85,12 +85,10 @@ TEST(Telemetry, IntervalRecordsAndFinal)
     reg.addCounter("test.work", work);
 
     RingTelemetrySink sink;
-    TelemetryParams params;
-    params.interval = 10;
     TickActor actor(sim, work, 35);
     actor.start();
     {
-        TelemetrySampler sampler("test", sim, reg, params, sink);
+        TelemetrySampler sampler("test", sim, reg, 10, sink);
         sampler.start();
         sim.run();
         EXPECT_TRUE(sampler.finished());
@@ -125,11 +123,9 @@ TEST(Telemetry, DeltasSumToTotalsAndRatesAreWindowLocal)
     reg.addCounter("test.work", work);
 
     RingTelemetrySink sink;
-    TelemetryParams params;
-    params.interval = 100;
     TickActor actor(sim, work, 250);
     actor.start();
-    TelemetrySampler sampler("test", sim, reg, params, sink);
+    TelemetrySampler sampler("test", sim, reg, 100, sink);
     sampler.start();
     sim.run();
     sampler.finish();
@@ -158,25 +154,31 @@ TEST(Telemetry, DeltasSumToTotalsAndRatesAreWindowLocal)
     EXPECT_EQ(work.value(), 250u);
 }
 
-TEST(Telemetry, ResetWindowsSumToTotals)
+TEST(Telemetry, RecordsCarryEveryRegistryLeaf)
 {
-    // The registry side of window accounting: dump-and-reset windows
-    // partition the run exactly.
-    Simulation sim;
-    StatRegistry reg;
-    Counter work;
-    reg.addCounter("test.work", work);
+    // Each record carries the whole registry: the final one holds
+    // exactly the machine's own snapshot, leaf for leaf.
+    machine::CedarMachine machine;
+    RingTelemetrySink sink;
+    machine.enableTelemetry(5'000, sink);
+    kernels::VloadParams kp;
+    kp.repetitions = 20;
+    kernels::runVload(machine, kp);
 
-    TickActor actor(sim, work, 300);
-    actor.start();
-    std::uint64_t window_sum = 0;
-    for (Tick horizon : {100u, 200u, 300u, 301u}) {
-        sim.runUntil(horizon);
-        auto snap = reg.snapshot();
-        window_sum += std::uint64_t(snap.at("test.work"));
-        reg.resetAll();
+    auto records = parseLines(sink);
+    ASSERT_FALSE(records.empty());
+    EXPECT_EQ(records.back().get("kind")->asString(), "final");
+    const valid::Json *stats = records.back().get("stats");
+    ASSERT_NE(stats, nullptr);
+    auto snap = machine.stats().snapshot();
+    ASSERT_EQ(stats->members().size(), snap.size());
+    for (const auto &[name, value] : stats->members()) {
+        auto it = snap.find(name);
+        ASSERT_NE(it, snap.end()) << name;
+        // Records print numbers as jsonNumber does; compare that form.
+        EXPECT_EQ(jsonNumber(value.asNumber()), jsonNumber(it->second))
+            << name;
     }
-    EXPECT_EQ(window_sum, 300u);
 }
 
 TEST(Telemetry, SamplerDoesNotKeepDrainedSimAlive)
@@ -184,9 +186,7 @@ TEST(Telemetry, SamplerDoesNotKeepDrainedSimAlive)
     Simulation sim;
     StatRegistry reg;
     RingTelemetrySink sink;
-    TelemetryParams params;
-    params.interval = 5;
-    TelemetrySampler sampler("test", sim, reg, params, sink);
+    TelemetrySampler sampler("test", sim, reg, 5, sink);
     sampler.start();
     // No workload at all: run() must return immediately with only the
     // final record emitted, not spin on the sampler's own event.
@@ -203,10 +203,8 @@ TEST(Telemetry, SampleNowAndResumeAcrossPhases)
     Counter work;
     reg.addCounter("test.work", work);
     RingTelemetrySink sink;
-    TelemetryParams params;
-    params.interval = 10;
 
-    TelemetrySampler sampler("test", sim, reg, params, sink);
+    TelemetrySampler sampler("test", sim, reg, 10, sink);
     sampler.start();
     {
         TickActor actor(sim, work, 25);
@@ -256,9 +254,7 @@ TEST(Telemetry, MachineStreamBitIdenticalAcrossReruns)
     auto runOnce = [] {
         machine::CedarMachine machine;
         RingTelemetrySink sink;
-        TelemetryParams params;
-        params.interval = 20'000;
-        machine.enableTelemetry(params, sink);
+        machine.enableTelemetry(20'000, sink);
         kernels::Rank64Params kp;
         kp.n = 128;
         kp.clusters = 2;
@@ -277,9 +273,7 @@ TEST(Telemetry, SamplingIsNeutralToMachineResults)
         machine::CedarMachine machine;
         RingTelemetrySink sink;
         if (telemetry) {
-            TelemetryParams params;
-            params.interval = 7'000; // deliberately odd interval
-            machine.enableTelemetry(params, sink);
+            machine.enableTelemetry(7'000, sink); // deliberately odd interval
         }
         kernels::Rank64Params kp;
         kp.n = 128;

@@ -95,9 +95,6 @@ TEST(Vm, FaultAndCycleAccountingPerCluster)
     EXPECT_EQ(vm.vmCycles(0), VmParams{}.first_touch_cycles);
     EXPECT_EQ(vm.vmCycles(1), VmParams{}.refill_cycles +
                                   VmParams{}.first_touch_cycles);
-    vm.resetStats();
-    EXPECT_EQ(vm.faults(1), 0u);
-    EXPECT_EQ(vm.hits() + vm.refills() + vm.firstTouches(), 0u);
 }
 
 TEST(Vm, RejectsBadCluster)
